@@ -21,6 +21,10 @@ logger = logging.getLogger("oaimh.client")
 
 DEFAULT_RETRY_SECONDS = 60
 
+#: Connect and read timeout of `http_transport`, in seconds; a provider that
+#: stops answering surfaces as ConnectionFailed instead of a hang.
+HTTP_TIMEOUT_SECONDS = 60
+
 
 class TransportError(Exception):
     pass
@@ -88,15 +92,16 @@ def http_transport(url: str, method: str, payload: str, headers: dict) -> tuple[
     else:
         body = payload
         headers = dict(headers, **{"Content-Type": "application/x-www-form-urlencoded"})
+    conn = conn_cls(parts.netloc, timeout=HTTP_TIMEOUT_SECONDS)
     try:
-        conn = conn_cls(parts.netloc)
         conn.request(method, path, body=body, headers=headers)
         resp = conn.getresponse()
         data = resp.read().decode("utf-8", errors="replace")
         resp_headers = {k.lower(): v for k, v in resp.getheaders()}
-        conn.close()
     except OSError as exc:
         raise ConnectionFailed(str(exc)) from None
+    finally:
+        conn.close()
     return resp.status, resp_headers, data
 
 

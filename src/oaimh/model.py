@@ -8,32 +8,11 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 DC_SCHEMA_URL = "http://www.openarchives.org/OAI/dc.xsd"
-
-#: The 15 Dublin Core element names (1.1 element set).
-DC_ELEMENTS = frozenset(
-    {
-        "title",
-        "creator",
-        "subject",
-        "description",
-        "publisher",
-        "contributor",
-        "date",
-        "type",
-        "format",
-        "identifier",
-        "source",
-        "language",
-        "relation",
-        "coverage",
-        "rights",
-    }
-)
 
 
 class MalformedDate(ValueError):
@@ -54,17 +33,6 @@ class OaiVerb(str, Enum):
             if verb.value == text:
                 return verb
         raise ValueError(f"unknown verb: {text!r}")
-
-
-#: Verbs whose responses may be delivered in partial pages.
-LIST_VERBS = frozenset(
-    {
-        OaiVerb.LIST_IDENTIFIERS,
-        OaiVerb.LIST_RECORDS,
-        OaiVerb.LIST_SETS,
-        OaiVerb.LIST_METADATA_FORMATS,
-    }
-)
 
 
 _DATESTAMP_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
@@ -186,10 +154,6 @@ class ItemIdentifier:
     def __post_init__(self):
         if not self.value:
             raise ValueError("identifier must be non-empty")
-
-    @property
-    def parsed_oai(self) -> Optional[tuple[str, str, str]]:
-        return oai_identifier_parse(self.value)
 
     def __str__(self) -> str:
         return self.value

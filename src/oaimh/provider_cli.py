@@ -24,6 +24,7 @@ from urllib.parse import urlsplit
 
 from .model import RepositoryDescription
 from .provider import HttpResponse, Provider, ProviderConfig, ThrottlePolicy
+from .request import MAX_REQUEST_BYTES
 from .store import FileStore, fixture_store
 
 
@@ -87,7 +88,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(self.provider.handle(self.client_address[0], "GET", raw, time.time()))
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", "0"))
+        # reject a length we would not read before reading anything, so a
+        # hostile Content-Length can neither hang the handler thread nor drop
+        # the connection without an answer
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_REQUEST_BYTES:
+            self._send(HttpResponse(400, "Bad Content-Length\n"))
+            return
         raw = self.rfile.read(length).decode("utf-8", errors="replace")
         self._send(self.provider.handle(self.client_address[0], "POST", raw, time.time()))
 
@@ -136,7 +146,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.command == "serve":
         server = serve(provider, args.port)
-        sys.stderr.write(f"provider: serving on port {args.port}\n")
+        sys.stderr.write(f"provider: serving on port {server.server_address[1]}\n")
         try:
             server.serve_forever()
         except KeyboardInterrupt:

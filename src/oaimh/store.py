@@ -1,8 +1,10 @@
 """Record storage: items with datestamps, soft deletes and per-format payloads.
 
-Two implementations share one contract: an in-memory store (fixtures, tests)
-and a single-file XML catalog for durable use. Readers always see either the
-pre- or post-upsert catalog, never a torn state.
+One store contract: `MemoryStore` holds the catalog in memory, and
+`FileStore` is a `MemoryStore` with a path, loaded when it is built and
+written only by an explicit `save()`. A save replaces the file atomically, so
+readers of the file see the catalog as it was before or after a save, never a
+torn state.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import os
 import threading
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 from xml.sax.saxutils import escape, quoteattr
 
@@ -110,11 +112,6 @@ class MemoryStore:
         headers.sort(key=lambda h: (h.datestamp, h.identifier.value))
         return headers
 
-    def disseminate(self, identifier: ItemIdentifier, prefix: str) -> Optional[str]:
-        """The payload for prefix, or None when the item is deleted or lacks
-        that format."""
-        return self.get_item(identifier).payload(prefix)
-
     def formats_for(
         self, identifier: Optional[ItemIdentifier] = None
     ) -> list[MetadataFormatDescriptor]:
@@ -197,10 +194,11 @@ def fixture_store() -> MemoryStore:
 
 
 class FileStore(MemoryStore):
-    """A MemoryStore persisted as one XML catalog file.
+    """A MemoryStore with a path: one XML catalog file.
 
-    Every upsert rewrites the file atomically (write-to-temp then rename), so
-    concurrent readers of the file see a complete catalog.
+    The file is read when the store is built and written only by `save()`,
+    which writes a temp file, fsyncs it and renames it over the catalog. A
+    crash before the rename leaves the catalog as it was at the last save.
     """
 
     def __init__(self, path: str):
@@ -209,18 +207,14 @@ class FileStore(MemoryStore):
         items: list[StoredItem] = []
         if os.path.exists(path):
             formats, items = _load_catalog(path)
-        super().__init__(formats=formats)
-        for item in items:
-            MemoryStore.upsert_item(self, item)
-
-    def upsert_item(self, item, descriptors=()):
-        super().upsert_item(item, descriptors)
-        self.save()
+        super().__init__(formats, items)
 
     def save(self) -> None:
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(render_catalog(self))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, self.path)
 
 

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import escape
 
 from .model import (
-    DC_ELEMENTS,
-    DC_SCHEMA_URL,
-    Datestamp,
     ItemIdentifier,
     MalformedDate,
     MetadataFormatDescriptor,
@@ -33,7 +30,6 @@ from .model import (
 OAI_NS_BASE = "http://www.openarchives.org/OAI/OAI_"
 OAI_SCHEMA_BASE = "http://www.openarchives.org/OAI/1.0/OAI_"
 XSI_NS = "http://www.w3.org/2000/10/XMLSchema-instance"
-DC_NS = "http://purl.org/dc/elements/1.1/"
 
 
 class ParseError(Exception):
@@ -45,10 +41,6 @@ class VerbMismatch(ParseError):
 
 
 class SerializationError(Exception):
-    pass
-
-
-class UnknownDcElement(ValueError):
     pass
 
 
@@ -80,23 +72,6 @@ def _check_fragment(fragment: str) -> None:
 
 def _indent_fragment(fragment: str, pad: str) -> list[str]:
     return [pad + line for line in fragment.strip().splitlines()]
-
-
-def render_dc(fields: list[tuple[str, str]]) -> str:
-    """Render an oai_dc payload from (element-name, text) pairs, in order."""
-    for name, _ in fields:
-        if name not in DC_ELEMENTS:
-            raise UnknownDcElement(f"not a Dublin Core element: {name!r}")
-    lines = [
-        f'<oai_dc xsi:schemaLocation="{DC_NS}',
-        f'                            {DC_SCHEMA_URL}"',
-        f'        xmlns:xsi="{XSI_NS}"',
-        f'        xmlns="{DC_NS}">',
-    ]
-    for name, text in fields:
-        lines.append(f" <{name}>{escape(text)}</{name}>")
-    lines.append("</oai_dc>")
-    return "\n".join(lines)
 
 
 def render_record(rec: MetadataRecord, indent: str = "") -> str:

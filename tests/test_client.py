@@ -1,10 +1,15 @@
+import socket
+
 import pytest
 
+from oaimh import client
 from oaimh.client import (
     ClientConfig,
+    ConnectionFailed,
     HttpError,
     RedirectLoop,
     RetriesExhausted,
+    http_transport,
     oai_get,
 )
 from oaimh.model import OaiRequest, OaiVerb
@@ -134,3 +139,20 @@ def test_total_requests_bounded():
 def test_anonymous_config_rejected():
     with pytest.raises(ValueError):
         ClientConfig(contact_email="")
+
+
+def test_http_transport_times_out_and_closes(monkeypatch):
+    # a loopback listener on port 0 that accepts and never replies
+    monkeypatch.setattr(client, "HTTP_TIMEOUT_SECONDS", 0.2)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        url = "http://127.0.0.1:%d/oai" % listener.getsockname()[1]
+        with pytest.raises(ConnectionFailed):
+            http_transport(url, "POST", "verb=Identify", {})
+        server_side, _ = listener.accept()
+        with server_side:
+            server_side.settimeout(5)
+            received = b""
+            while chunk := server_side.recv(4096):
+                received += chunk
+    # the client sent its request, then closed the connection on the timeout
+    assert received.startswith(b"POST /oai ")

@@ -1,6 +1,5 @@
 import json
 import os
-import random
 
 import pytest
 
@@ -158,6 +157,38 @@ class TestMerge:
         assert report.added == report.updated == report.deleted == 0
         assert open(catalog).read() == first_bytes
 
+    def test_merge_saves_catalog_once(self, network, tmp_path, monkeypatch):
+        from oaimh.store import FileStore
+
+        saves = []
+        real_save = FileStore.save
+        monkeypatch.setattr(FileStore, "save", lambda self: saves.append(1) or real_save(self))
+        self.records_harvest(network, tmp_path / "h1")
+        report = merge_into_catalog(str(tmp_path / "h1"), str(tmp_path / "catalog.xml"))
+        assert report.added == 3
+        assert len(saves) == 1
+
+    def test_failed_merge_leaves_catalog_unchanged(self, network, tmp_path, monkeypatch):
+        from oaimh import harvester
+
+        self.records_harvest(network, tmp_path / "h1")
+        catalog = tmp_path / "catalog.xml"
+        catalog.write_text('<?xml version="1.0" encoding="UTF-8"?>\n<catalog>\n</catalog>\n')
+        before = catalog.read_text()
+        merged = []
+        real_merge = harvester._merge_record
+
+        def merge_then_crash(*args):
+            if merged:
+                raise RuntimeError("crash mid-merge")
+            merged.append(1)
+            real_merge(*args)
+
+        monkeypatch.setattr(harvester, "_merge_record", merge_then_crash)
+        with pytest.raises(RuntimeError):
+            merge_into_catalog(str(tmp_path / "h1"), str(catalog))
+        assert catalog.read_text() == before
+
     def test_overlap_refetch_not_duplicated(self, network, fixture_provider, tmp_path):
         self.records_harvest(network, tmp_path / "h1")
         catalog = str(tmp_path / "catalog.xml")
@@ -207,7 +238,7 @@ class TestMerge:
 
         merged = FileStore(catalog)
         assert merged.get_item(ItemIdentifier("record2")).deleted
-        assert merged.disseminate(ItemIdentifier("record2"), "oai_dc") is None
+        assert merged.get_item(ItemIdentifier("record2")).payload("oai_dc") is None
 
     def test_list_identifiers_harvest_not_mergeable(self, network, tmp_path):
         harvest(network, tmp_path / "h1")

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -66,14 +67,14 @@ class TestIdsByDate:
 
 class TestDisseminate:
     def test_record2_dc(self, store):
-        fragment = store.disseminate(ItemIdentifier("record2"), "oai_dc")
+        fragment = store.get_item(ItemIdentifier("record2")).payload("oai_dc")
         assert "<title>Item 2</title>" in fragment
 
     def test_unavailable_format(self, store):
-        assert store.disseminate(ItemIdentifier("record2"), "wibble") is None
+        assert store.get_item(ItemIdentifier("record2")).payload("wibble") is None
 
     def test_deleted_item(self, store):
-        assert store.disseminate(ItemIdentifier("record3"), "oai_dc") is None
+        assert store.get_item(ItemIdentifier("record3")).payload("oai_dc") is None
 
 
 class TestFormatsFor:
@@ -178,7 +179,7 @@ class TestProperties:
         store.upsert_item(RECORD4)
         for item in store.items():
             for fmt in store.formats:
-                available = store.disseminate(item.identifier, fmt.prefix) is not None
+                available = store.get_item(item.identifier).payload(fmt.prefix) is not None
                 listed = fmt.prefix in [
                     f.prefix for f in store.formats_for(item.identifier)
                 ]
@@ -191,6 +192,7 @@ class TestFileStore:
         fs = FileStore(path)
         for item in fixture_store().items():
             fs.upsert_item(item, fixture_store().formats)
+        fs.save()
         reloaded = FileStore(path)
         assert [f.prefix for f in reloaded.formats] == [f.prefix for f in fs.formats]
         assert [i.identifier for i in reloaded.items()] == [i.identifier for i in fs.items()]
@@ -198,7 +200,7 @@ class TestFileStore:
         # prefixes may be rewritten on reload; the payload content survives
         import xml.etree.ElementTree as ET
 
-        payload = ET.fromstring(reloaded.disseminate(ItemIdentifier("record2"), "oai_dc"))
+        payload = ET.fromstring(reloaded.get_item(ItemIdentifier("record2")).payload("oai_dc"))
         assert payload.find("{http://purl.org/dc/elements/1.1/}title").text == "Item 2"
 
     def test_save_load_is_stable(self, tmp_path):
@@ -206,6 +208,7 @@ class TestFileStore:
         fs = FileStore(path)
         for item in fixture_store().items():
             fs.upsert_item(item, fixture_store().formats)
+        fs.save()
         first = (tmp_path / "catalog.xml").read_text()
         reloaded = FileStore(path)
         reloaded.save()
@@ -213,6 +216,32 @@ class TestFileStore:
         reloaded2 = FileStore(path)
         reloaded2.save()
         assert second == (tmp_path / "catalog.xml").read_text()
+
+    def test_upsert_leaves_file_untouched_until_save(self, tmp_path):
+        path = tmp_path / "catalog.xml"
+        fs = FileStore(str(path))
+        for item in fixture_store().items():
+            fs.upsert_item(item, fixture_store().formats)
+        assert not path.exists()
+        fs.save()
+        before = path.read_text()
+        fs.upsert_item(RECORD4)
+        assert path.read_text() == before
+        fs.save()
+        reloaded = FileStore(str(path)).get_item(ItemIdentifier("record4"))
+        assert reloaded.datestamp == RECORD4.datestamp
+        assert "Item 4" in reloaded.payload("oai_dc")
+
+    def test_save_fsyncs_temp_file_before_replace(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync") or real_fsync(fd))
+        monkeypatch.setattr(
+            os, "replace", lambda a, b: calls.append(("replace", a, b)) or real_replace(a, b)
+        )
+        path = str(tmp_path / "catalog.xml")
+        FileStore(path).save()
+        assert calls == ["fsync", ("replace", path + ".tmp", path)]
 
     def test_render_catalog_deterministic(self, store):
         assert render_catalog(store) == render_catalog(fixture_store())

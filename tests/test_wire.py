@@ -20,11 +20,9 @@ from oaimh.wire import (
     ParseError,
     ResponseEnvelope,
     SerializationError,
-    UnknownDcElement,
     VerbMismatch,
     identify_equal_ignoring_date,
     parse_list_response,
-    render_dc,
     render_envelope,
     render_record,
 )
@@ -112,7 +110,7 @@ class TestRenderRecord:
 
 class TestRenderDc:
     def test_golden_fields(self):
-        frag = render_dc([("title", "Item 2"), ("creator", "A N Other")])
+        frag = dc_payload("Item 2", "A N Other")
         root = ET.fromstring(frag)
         assert root.tag == "{http://purl.org/dc/elements/1.1/}oai_dc"
         assert [(c.tag.rpartition("}")[2], c.text) for c in root] == [
@@ -123,17 +121,11 @@ class TestRenderDc:
             "{http://www.w3.org/2000/10/XMLSchema-instance}schemaLocation"
         ]
 
-    def test_empty_is_valid(self):
-        assert len(ET.fromstring(render_dc([]))) == 0
-
     def test_text_escaped(self):
-        frag = render_dc([("title", "a & b")])
+        frag = dc_payload("a & b", "c < d")
         assert "a &amp; b" in frag
-        assert ET.fromstring(frag)[0].text == "a & b"
-
-    def test_unknown_element_rejected(self):
-        with pytest.raises(UnknownDcElement):
-            render_dc([("wibbleness", "x")])
+        assert "c &lt; d" in frag
+        assert [c.text for c in ET.fromstring(frag)] == ["a & b", "c < d"]
 
 
 class TestParseListResponse:
