@@ -55,7 +55,7 @@ class Datestamp:
         _dt.date(self.year, self.month, self.day)
 
     def __str__(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
+        return "%04d-%02d-%02d" % (self.year, self.month, self.day)
 
     def next_day(self) -> "Datestamp":
         d = _dt.date(self.year, self.month, self.day) + _dt.timedelta(days=1)

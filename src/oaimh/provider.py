@@ -8,9 +8,10 @@ test transport.
 
 from __future__ import annotations
 
+import base64
 import threading
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from .model import (
     Datestamp,
@@ -19,7 +20,6 @@ from .model import (
     MetadataRecord,
     OaiRequest,
     OaiVerb,
-    RecordHeader,
     RepositoryDescription,
     ResponseDate,
     ResumptionToken,
@@ -71,9 +71,12 @@ class BadResumptionToken(ValueError):
 
 @dataclass(frozen=True)
 class PageCursor:
-    """Stateless continuation cursor; encodes losslessly to a token string.
+    """Stateless keyset continuation cursor; encodes losslessly to a token.
 
-    Layout: verb:from:until:offset:prefix with '-' marking absent fields; the
+    `after` is the `(datestamp text, identifier)` key of the last item served,
+    so a harvest never skips an item that stays unchanged while it runs.
+    Layout: verb:from:until:last_datestamp:last_identifier:prefix with '-'
+    marking absent fields; the identifier is unpadded urlsafe base64, and the
     prefix comes last so it may contain further colons.
     """
 
@@ -81,34 +84,43 @@ class PageCursor:
     from_date: Optional[Datestamp] = None
     until_date: Optional[Datestamp] = None
     prefix: Optional[str] = None
-    offset: int = 0
+    after: Optional[tuple[str, str]] = None
 
     def encode(self) -> ResumptionToken:
+        last_date, last_id = self.after or ("-", None)
         parts = [
             self.verb.value,
             str(self.from_date) if self.from_date else "-",
             str(self.until_date) if self.until_date else "-",
-            str(self.offset),
+            last_date,
+            "-" if last_id is None else _b64(last_id.encode("utf-8")),
             self.prefix if self.prefix else "-",
         ]
         return ResumptionToken(":".join(parts))
 
     @classmethod
     def decode(cls, token: str) -> "PageCursor":
-        parts = token.split(":", 4)
-        if len(parts) != 5:
+        parts = token.split(":", 5)
+        if len(parts) != 6:
             raise BadResumptionToken(token)
-        verb_text, from_text, until_text, offset_text, prefix = parts
+        verb_text, from_text, until_text, last_date, last_id, prefix = parts
         try:
             verb = OaiVerb.from_string(verb_text)
             from_date = None if from_text == "-" else datestamp_parse(from_text)
             until_date = None if until_text == "-" else datestamp_parse(until_text)
-            offset = int(offset_text)
+            after = None
+            if (last_date, last_id) != ("-", "-"):
+                raw = base64.urlsafe_b64decode(last_id + "=" * (-len(last_id) % 4))
+                if _b64(raw) != last_id:  # only the text encode() writes
+                    raise ValueError(last_id)
+                after = (str(datestamp_parse(last_date)), raw.decode("utf-8"))
         except (ValueError, MalformedDate):
             raise BadResumptionToken(token) from None
-        if offset < 0:
-            raise BadResumptionToken(token)
-        return cls(verb, from_date, until_date, prefix if prefix != "-" else None, offset)
+        return cls(verb, from_date, until_date, prefix if prefix != "-" else None, after)
+
+
+def _b64(raw: bytes) -> str:
+    return base64.urlsafe_b64encode(raw).decode("ascii").rstrip("=")
 
 
 def throttle_check(
@@ -132,11 +144,16 @@ def throttle_check(
     return None
 
 
+#: the throttle table is first swept at this size
+THROTTLE_SWEEP_MIN = 1024
+
+
 class Provider:
     def __init__(self, store: MemoryStore, config: ProviderConfig):
         self.store = store
         self.config = config
         self._last_served: dict[str, float] = {}
+        self._sweep_at = THROTTLE_SWEEP_MIN
         self._throttle_lock = threading.Lock()
         self._redirect_index = 0
 
@@ -144,7 +161,16 @@ class Provider:
 
     def _check_throttle(self, client_addr: str, now: float) -> Optional[int]:
         with self._throttle_lock:
-            return throttle_check(self._last_served, client_addr, now, self.config.throttle)
+            table = self._last_served
+            retry = throttle_check(table, client_addr, now, self.config.throttle)
+            if len(table) >= self._sweep_at:
+                # forget clients served an interval ago or more, which can deny
+                # nothing; sweeping once the table has doubled costs O(1) a call
+                interval = self.config.throttle.min_interval_seconds
+                for addr in [a for a, last in table.items() if now - last >= interval]:
+                    del table[addr]
+                self._sweep_at = max(THROTTLE_SWEEP_MIN, 2 * len(table))
+            return retry
 
     def _next_redirect(self) -> str:
         with self._throttle_lock:
@@ -158,32 +184,6 @@ class Provider:
 
     def _request_url(self, req: OaiRequest) -> str:
         return self.config.repository.base_url + "?" + encode_request(req)
-
-    def _full_result(
-        self,
-        verb: OaiVerb,
-        from_date: Optional[Datestamp],
-        until_date: Optional[Datestamp],
-        prefix: Optional[str],
-        set_arg: bool,
-    ) -> list[BodyItem]:
-        # sets are accepted by the grammar but this repository has none, so a
-        # set-qualified selection matches nothing
-        if set_arg:
-            return []
-        headers = self.store.ids_by_date(from_date, until_date)
-        if verb is OaiVerb.LIST_IDENTIFIERS:
-            return list(headers)
-        if self.store.format_for_prefix(prefix) is None:
-            # repository-unknown format: empty reply at repository level
-            return []
-        records = []
-        for header in headers:
-            payload = None
-            if not header.deleted:
-                payload = self.store.get_item(header.identifier).payload(prefix)
-            records.append(MetadataRecord(header, payload))
-        return records
 
     def dispatch(self, req: OaiRequest, now: float) -> ResponseEnvelope:
         """Build the response envelope for a validated request.
@@ -208,72 +208,51 @@ class Provider:
                 return envelope([])
             return envelope([MetadataRecord(item.header(), item.payload(req.arg("metadataPrefix")))])
 
-        # list verbs: compute the full result, then page it
         token_arg = req.arg("resumptionToken")
+        if verb is OaiVerb.LIST_METADATA_FORMATS and token_arg is None:
+            identifier = req.arg("identifier")
+            if identifier is None:
+                return envelope(self.store.formats)
+            try:
+                return envelope(self.store.formats_for(ItemIdentifier(identifier)))
+            except (NotFound, ValueError):
+                return envelope([])
+        if verb not in (OaiVerb.LIST_IDENTIFIERS, OaiVerb.LIST_RECORDS):
+            # ListSets (this repository has no sets) and ListMetadataFormats
+            # answer in one page, so no token is ever issued for them
+            return envelope([])
+
         if token_arg is not None:
             try:
                 cursor = PageCursor.decode(token_arg)
-                if cursor.verb is not verb:
-                    raise BadResumptionToken(token_arg)
             except BadResumptionToken:
                 return envelope([])
-            # for ListMetadataFormats the cursor's prefix slot carries the
-            # original identifier argument
-            identifier = cursor.prefix if verb is OaiVerb.LIST_METADATA_FORMATS else None
-            full = self._list_result(verb, cursor.from_date, cursor.until_date, cursor.prefix,
-                                     False, identifier=identifier)
-            if cursor.offset > len(full):
+            if cursor.verb is not verb:
                 return envelope([])
-            page, token = self._paginate(full, verb, cursor.from_date, cursor.until_date,
-                                         cursor.prefix, cursor.offset)
-            return envelope(page, token)
+        elif req.arg("set") is not None:
+            # sets are accepted by the grammar but this repository has none
+            return envelope([])
+        else:
+            cursor = PageCursor(verb, _maybe_date(req.arg("from")),
+                                _maybe_date(req.arg("until")), req.arg("metadataPrefix"))
+        if verb is OaiVerb.LIST_RECORDS and self.store.format_for_prefix(cursor.prefix) is None:
+            # repository-unknown format: empty reply at repository level
+            return envelope([])
 
-        from_date = _maybe_date(req.arg("from"))
-        until_date = _maybe_date(req.arg("until"))
-        prefix = req.arg("metadataPrefix")
-        set_arg = req.arg("set") is not None
-        identifier = req.arg("identifier")
-        full = self._list_result(verb, from_date, until_date, prefix, set_arg,
-                                 identifier=identifier)
-        cursor_prefix = identifier if verb is OaiVerb.LIST_METADATA_FORMATS else prefix
-        page, token = self._paginate(full, verb, from_date, until_date, cursor_prefix, 0)
-        return envelope(page, token)
-
-    def _list_result(
-        self,
-        verb: OaiVerb,
-        from_date: Optional[Datestamp],
-        until_date: Optional[Datestamp],
-        prefix: Optional[str],
-        set_arg: bool,
-        identifier: Optional[str] = None,
-    ) -> list[BodyItem]:
-        if verb is OaiVerb.LIST_SETS:
-            return []
-        if verb is OaiVerb.LIST_METADATA_FORMATS:
-            if identifier is None:
-                return list(self.store.formats)
-            try:
-                return self.store.formats_for(ItemIdentifier(identifier))
-            except (NotFound, ValueError):
-                return []
-        return self._full_result(verb, from_date, until_date, prefix, set_arg)
-
-    def _paginate(
-        self,
-        full: list[BodyItem],
-        verb: OaiVerb,
-        from_date: Optional[Datestamp],
-        until_date: Optional[Datestamp],
-        prefix: Optional[str],
-        offset: int,
-    ) -> tuple[list[BodyItem], Optional[ResumptionToken]]:
-        page = full[offset : offset + self.config.page_size]
-        end = offset + self.config.page_size
-        if end >= len(full):
-            return page, None
-        cursor = PageCursor(verb, from_date, until_date, prefix, end)
-        return page, cursor.encode()
+        # one item past the page tells whether a continuation is needed
+        page_size = self.config.page_size
+        page = self.store.ids_by_date(cursor.from_date, cursor.until_date, cursor.after,
+                                      limit=page_size + 1)
+        token = None
+        if len(page) > page_size:
+            del page[page_size:]
+            last = page[-1]
+            token = replace(cursor, after=(str(last.datestamp), last.identifier.value)).encode()
+        if verb is OaiVerb.LIST_IDENTIFIERS:
+            return envelope([item.header() for item in page], token)
+        return envelope(
+            [MetadataRecord(item.header(), item.payload(cursor.prefix)) for item in page], token
+        )
 
     # -- HTTP surface -------------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import MalformedDate, OaiRequest, OaiVerb, datestamp_parse
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import threading
 import xml.etree.ElementTree as ET
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional
 from xml.sax.saxutils import escape, quoteattr
@@ -65,7 +66,11 @@ class StoredItem:
 
 
 class MemoryStore:
-    """In-memory catalog of items plus the repository's format list."""
+    """In-memory catalog of items plus the repository's format list.
+
+    `_index` holds each item's `(datestamp text, identifier)` key, sorted;
+    canonical datestamp text sorts in calendar order.
+    """
 
     def __init__(
         self,
@@ -75,8 +80,13 @@ class MemoryStore:
         self._formats: list[MetadataFormatDescriptor] = list(formats)
         self._items: dict[str, StoredItem] = {}
         self._lock = threading.Lock()
+        known = {fmt.prefix for fmt in self._formats}
         for item in items:
-            self.upsert_item(item)
+            for prefix, _ in item.payloads:
+                if prefix not in known:
+                    raise UnknownFormat(f"no descriptor for payload prefix {prefix!r}")
+            self._items[item.identifier.value] = item
+        self._index = sorted((str(item.datestamp), key) for key, item in self._items.items())
 
     @property
     def formats(self) -> list[MetadataFormatDescriptor]:
@@ -100,17 +110,23 @@ class MemoryStore:
         self,
         from_date: Optional[Datestamp] = None,
         until_date: Optional[Datestamp] = None,
-    ) -> list[RecordHeader]:
-        """All headers (including deleted) with from <= datestamp <= until,
-        ordered by (datestamp, identifier) ascending."""
-        headers = [
-            item.header()
-            for item in self._items.values()
-            if (from_date is None or item.datestamp >= from_date)
-            and (until_date is None or item.datestamp <= until_date)
-        ]
-        headers.sort(key=lambda h: (h.datestamp, h.identifier.value))
-        return headers
+        after: Optional[tuple[str, str]] = None,
+        limit: Optional[int] = None,
+    ) -> list[StoredItem]:
+        """Items (including deleted) with from <= datestamp <= until and a
+        key `(datestamp text, identifier)` above `after`, in key order; at
+        most `limit` of them."""
+        with self._lock:
+            index = self._index
+            lo = 0 if from_date is None else bisect_left(index, (str(from_date), ""))
+            if after is not None:
+                lo = max(lo, bisect_right(index, after))
+            hi = len(index)
+            if until_date is not None:
+                hi = bisect_right(index, str(until_date), lo, hi, key=lambda entry: entry[0])
+            if limit is not None:
+                hi = min(hi, lo + limit)
+            return [self._items[identifier] for _, identifier in index[lo:hi]]
 
     def formats_for(
         self, identifier: Optional[ItemIdentifier] = None
@@ -130,15 +146,17 @@ class MemoryStore:
         descriptor (here or already in the catalog)."""
         extra = {d.prefix: d for d in descriptors}
         with self._lock:
-            known = {fmt.prefix for fmt in self._formats}
             for prefix in item.prefixes():
-                if prefix in known:
-                    continue
-                if prefix not in extra:
-                    raise UnknownFormat(f"no descriptor for payload prefix {prefix!r}")
-                self._formats.append(extra[prefix])
-                known.add(prefix)
-            self._items[item.identifier.value] = item
+                if self.format_for_prefix(prefix) is None:
+                    if prefix not in extra:
+                        raise UnknownFormat(f"no descriptor for payload prefix {prefix!r}")
+                    self._formats.append(extra[prefix])
+            key = item.identifier.value
+            old = self._items.get(key)
+            if old is not None:
+                del self._index[bisect_left(self._index, (str(old.datestamp), key))]
+            insort(self._index, (str(item.datestamp), key))
+            self._items[key] = item
 
     def items(self) -> list[StoredItem]:
         return [self._items[k] for k in sorted(self._items)]

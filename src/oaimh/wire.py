@@ -272,7 +272,8 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
             if text:
                 token = ResumptionToken(text)
         elif name == "repositoryName":
-            repo_fields["name"] = _text(child)
+            # rendered on one line, so its text is the name, spaces and all
+            repo_fields["name"] = child.text or ""
         elif name == "baseURL":
             repo_fields["base_url"] = _text(child)
         elif name == "protocolVersion":

@@ -7,7 +7,7 @@ import datetime as dt
 import pytest
 
 from oaimh.model import RepositoryDescription
-from oaimh.provider import Provider, ProviderConfig, ThrottlePolicy
+from oaimh.provider import Provider, ProviderConfig
 from oaimh.store import fixture_store
 
 BASE_URL = "http://localhost/oai1"

@@ -1,24 +1,18 @@
 import random
+import urllib.parse
 
 import pytest
 
-from oaimh.model import (
-    Datestamp,
-    ItemIdentifier,
-    MetadataFormatDescriptor,
-    MetadataRecord,
-    OaiRequest,
-    OaiVerb,
-    RecordHeader,
-)
+from oaimh.model import Datestamp, ItemIdentifier, OaiVerb
 from oaimh.provider import (
+    THROTTLE_SWEEP_MIN,
     BadResumptionToken,
     PageCursor,
     ThrottlePolicy,
     throttle_check,
 )
 from oaimh.request import parse_request, validate_request
-from oaimh.store import DC_FORMAT
+from oaimh.store import DC_FORMAT, FileStore, MemoryStore, StoredItem, dc_payload, render_catalog
 from oaimh.wire import parse_list_response
 
 from conftest import EPOCH_2001_06_05, make_provider
@@ -111,6 +105,36 @@ class TestThrottleCheck:
         assert throttle_check(table, "b", 1.0, policy) is None
 
 
+class TestThrottleSweep:
+    def test_sweep_keeps_only_clients_that_can_be_denied(self):
+        provider = make_provider(
+            throttle=ThrottlePolicy(min_interval_seconds=60, retry_after_seconds=60)
+        )
+        for i in range(THROTTLE_SWEEP_MIN - 2):
+            provider.handle(f"old{i}", "GET", "", NOW)
+        provider.handle("live", "GET", "", NOW + 30)
+        # this request fills the table to the sweep size
+        assert provider.handle("new", "GET", "", NOW + 60).status == 400
+        assert sorted(provider._last_served) == ["live", "new"]
+        assert provider.handle("live", "GET", "", NOW + 60).status == 503
+
+    def test_table_bounded_over_many_addresses(self):
+        provider = make_provider(
+            throttle=ThrottlePolicy(min_interval_seconds=60, retry_after_seconds=60)
+        )
+        # an empty request is throttle-checked, then refused cheaply with a 400
+        sizes = []
+        for i in range(50_000):
+            addr = f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}"
+            assert provider.handle(addr, "GET", "", NOW + i).status == 400
+            sizes.append(len(provider._last_served))
+        assert max(sizes) <= 2 * THROTTLE_SWEEP_MIN
+        # the clients served within the last interval are still throttled,
+        # and one served long ago is not
+        assert provider.handle(addr, "GET", "", NOW + 50_000).status == 503
+        assert provider.handle("10.0.0.0", "GET", "", NOW + 50_000).status == 400
+
+
 class TestDispatch:
     def test_get_record_with_payload(self, fixture_provider):
         out = parsed(
@@ -192,22 +216,40 @@ class TestDispatch:
         assert out.items == ()
 
 
+# one valid keyset token is ListRecords:-:-:2000-01-01:cjE:oai_dc ("cjE" is "r1")
+MALFORMED_TOKENS = [
+    "ListRecords:-:-:2000-01-01:cjE",  # too few fields
+    "Nope:-:-:2000-01-01:cjE:oai_dc",  # unknown verb
+    "ListRecords:-:-:2000-13-01:cjE:oai_dc",  # no such month
+    "ListRecords:-:-:2000-1-1:cjE:oai_dc",  # not canonical
+    "ListRecords:-:-:2000-01-01:c:oai_dc",  # truncated base64
+    "ListRecords:-:-:2000-01-01:cj!E:oai_dc",  # outside the alphabet
+    "ListRecords:-:-:2000-01-01:cjF:oai_dc",  # non-canonical base64
+    "ListRecords:-:-:2000-01-01:cjE=:oai_dc",  # padding is never written
+    "ListRecords:-:-:2000-01-01:_w:oai_dc",  # not UTF-8
+    "ListRecords:-:-:-:cjE:oai_dc",  # identifier without datestamp
+    "ListRecords:-:-:2000-01-01:-:oai_dc",  # datestamp without identifier
+    "ListRecords:1999-02-30:-:2000-01-01:cjE:oai_dc",  # bad from
+]
+
+
 class TestPageCursor:
     def test_encode_decode_round_trip(self):
         cursor = PageCursor(
-            OaiVerb.LIST_RECORDS, Datestamp(1999, 1, 1), None, "oai_dc", 7
+            OaiVerb.LIST_RECORDS, Datestamp(1999, 1, 1), None, "oai_dc", ("1999-03-07", "r7")
         )
         assert PageCursor.decode(cursor.encode().value) == cursor
 
     def test_prefix_may_contain_colons(self):
-        cursor = PageCursor(OaiVerb.LIST_RECORDS, None, None, "a:b", 1)
+        cursor = PageCursor(OaiVerb.LIST_RECORDS, None, None, "a:b", ("2000-01-01", "r1"))
         assert PageCursor.decode(cursor.encode().value).prefix == "a:b"
 
     def test_token_is_url_safe(self):
         import urllib.parse
 
         token = PageCursor(
-            OaiVerb.LIST_IDENTIFIERS, Datestamp(1997, 2, 10), None, None, 502
+            OaiVerb.LIST_IDENTIFIERS, Datestamp(1997, 2, 10), None, None,
+            ("1998-05-02", "oai:arXiv:hep-th/9901001"),
         ).encode().value
         assert urllib.parse.quote(token, safe=":-") == token
 
@@ -215,6 +257,23 @@ class TestPageCursor:
     def test_bad_tokens_rejected(self, garbage):
         with pytest.raises(BadResumptionToken):
             PageCursor.decode(garbage)
+
+    @pytest.mark.parametrize("garbage", MALFORMED_TOKENS)
+    def test_malformed_keyset_tokens_rejected(self, garbage):
+        with pytest.raises(BadResumptionToken):
+            PageCursor.decode(garbage)
+
+    @pytest.mark.parametrize("identifier", [
+        "oai:arXiv:hep-th/9901001", "100%", "%41", "a&b=c", "a+b", "with space",
+        "Zürich/Øster/日本", "-", "~_.",
+    ])
+    def test_identifier_round_trip(self, identifier):
+        cursor = PageCursor(
+            OaiVerb.LIST_RECORDS, None, Datestamp(2001, 6, 5), "oai_dc", ("2000-02-29", identifier)
+        )
+        token = cursor.encode().value
+        assert PageCursor.decode(token) == cursor
+        assert urllib.parse.quote(token, safe=":-") == token
 
 
 class TestPaging:
@@ -249,7 +308,9 @@ class TestPaging:
         assert out.items == () and out.token is None
 
     def test_token_for_wrong_verb_rejected(self, fixture_provider):
-        token = PageCursor(OaiVerb.LIST_RECORDS, None, None, "oai_dc", 1).encode().value
+        token = PageCursor(
+            OaiVerb.LIST_RECORDS, None, None, "oai_dc", ("1998-01-01", "record1")
+        ).encode().value
         out = parsed(
             fixture_provider,
             f"verb=ListIdentifiers&resumptionToken={token}",
@@ -272,3 +333,79 @@ class TestPaging:
                     pages = self.collect_pages(paged, raw, verb)
                     stitched = [item for p in pages for item in p.items]
                     assert stitched == list(whole.items)
+
+    def test_item_unchanged_during_harvest_is_not_skipped(self):
+        def item(n, day):
+            return StoredItem(ItemIdentifier(f"r{n}"), Datestamp(2000, 1, day),
+                              payloads=(("oai_dc", dc_payload(f"T{n}", "A")),))
+
+        store = MemoryStore([DC_FORMAT], [item(n, n + 1) for n in range(4)])
+        provider = make_provider(store=store, page_size=2)
+        out = parsed(provider, "verb=ListIdentifiers", OaiVerb.LIST_IDENTIFIERS)
+        seen = [h.identifier.value for h in out.items]
+        # r0 changes after the first page: its datestamp moves past the others
+        store.upsert_item(StoredItem(ItemIdentifier("r0"), Datestamp(2001, 6, 5),
+                                     payloads=(("oai_dc", dc_payload("T0 v2", "A")),)))
+        while out.token is not None:
+            raw = f"verb=ListIdentifiers&resumptionToken={out.token.value}"
+            out = parsed(provider, raw, OaiVerb.LIST_IDENTIFIERS)
+            seen += [h.identifier.value for h in out.items]
+        assert seen == ["r0", "r1", "r2", "r3", "r0"]
+
+    def test_token_survives_restart(self, tmp_path):
+        store = random_store(random.Random(9), 25)
+        raw = "verb=ListRecords&metadataPrefix=oai_dc"
+        whole = parsed(make_provider(store=store, page_size=100), raw, OaiVerb.LIST_RECORDS)
+        first = parsed(make_provider(store=store, page_size=10), raw, OaiVerb.LIST_RECORDS)
+        path = tmp_path / "catalog.xml"
+        path.write_text(render_catalog(store), encoding="utf-8")
+        restarted = make_provider(store=FileStore(str(path)), page_size=10)
+        rest = self.collect_pages(
+            restarted, f"verb=ListRecords&resumptionToken={first.token.value}", OaiVerb.LIST_RECORDS
+        )
+        stitched = list(first.items) + [item for p in rest for item in p.items]
+        assert [r.header for r in stitched] == [r.header for r in whole.items]
+
+    def test_tokens_for_awkward_identifiers_used_unencoded(self):
+        names = ["a:b", "100%", "%41", "p&q=r", "a+b", "s p", "Zürich", "日本", "x"]
+        store = MemoryStore([DC_FORMAT], [
+            StoredItem(ItemIdentifier(name), Datestamp(2000, 1, 1),
+                       payloads=(("oai_dc", dc_payload(name, "A")),))
+            for name in names
+        ])
+        provider = make_provider(store=store, page_size=1)
+        pages = self.collect_pages(provider, "verb=ListIdentifiers", OaiVerb.LIST_IDENTIFIERS)
+        assert [h.identifier.value for p in pages for h in p.items] == sorted(names)
+
+    @pytest.mark.parametrize("garbage", MALFORMED_TOKENS + ["garbage", "ListRecords:-:-:0:-"])
+    @pytest.mark.parametrize("verb", [OaiVerb.LIST_IDENTIFIERS, OaiVerb.LIST_RECORDS])
+    def test_malformed_token_is_empty_200(self, fixture_provider, verb, garbage):
+        out = parsed(fixture_provider, f"verb={verb.value}&resumptionToken={garbage}", verb)
+        assert out.items == () and out.token is None
+
+    @pytest.mark.parametrize("verb", [OaiVerb.LIST_SETS, OaiVerb.LIST_METADATA_FORMATS])
+    def test_unpaged_verbs_refuse_tokens(self, fixture_provider, verb):
+        token = PageCursor(verb, None, None, None, ("1998-01-01", "record1")).encode().value
+        out = parsed(fixture_provider, f"verb={verb.value}&resumptionToken={token}", verb)
+        assert out.items == () and out.token is None
+
+    def test_page_selects_at_most_page_size_plus_one(self):
+        page_size = 10
+        for size in (100, 400):
+            store = random_store(random.Random(size), size)
+            selected = []
+            select = store.ids_by_date
+
+            def counting(*args, **kwargs):
+                result = select(*args, **kwargs)
+                selected.append(len(result))
+                return result
+
+            store.ids_by_date = counting
+            provider = make_provider(store=store, page_size=page_size)
+            pages = self.collect_pages(
+                provider, "verb=ListRecords&metadataPrefix=oai_dc", OaiVerb.LIST_RECORDS
+            )
+            assert sum(len(p.items) for p in pages) == size
+            assert len(selected) == len(pages) == size // page_size
+            assert max(selected) == page_size + 1

@@ -64,6 +64,40 @@ class TestIdsByDate:
         ]
         assert ids == ["record2"]
 
+    def test_after_and_limit(self, store):
+        ids = [i.identifier.value for i in store.ids_by_date(after=("1998-01-01", "record1"))]
+        assert ids == ["record2", "record3"]
+        # a key absent from the store still positions the continuation
+        ids = [i.identifier.value for i in store.ids_by_date(after=("1999-01-01", "zzz"), limit=1)]
+        assert ids == ["record2"]
+        assert store.ids_by_date(from_date=Datestamp(2000, 3, 13), after=("1998-01-01", "a")) == [
+            store.get_item(ItemIdentifier("record3"))
+        ]
+        assert store.ids_by_date(until_date=Datestamp(1999, 2, 12),
+                                 after=("1999-02-12", "record2")) == []
+
+    def test_index_follows_upserts(self):
+        rng = random.Random(11)
+        store = random_store(rng, 50)
+        for _ in range(300):
+            ident = ItemIdentifier(f"item{rng.randrange(70):03d}")
+            stamp = Datestamp(2000, rng.randint(1, 12), rng.randint(1, 28))
+            store.upsert_item(StoredItem(ident, stamp, deleted=True))
+        expected = sorted(store.items(), key=lambda i: (str(i.datestamp), i.identifier.value))
+        assert store.ids_by_date() == expected
+        a, b = Datestamp(2000, 3, 1), Datestamp(2000, 9, 30)
+        assert store.ids_by_date(a, b) == [i for i in expected if a <= i.datestamp <= b]
+
+    def test_constructor_rejects_unknown_prefix(self):
+        item = StoredItem(ItemIdentifier("r"), Datestamp(2001, 1, 1), payloads=(("zzz", "<z/>"),))
+        with pytest.raises(UnknownFormat):
+            MemoryStore([DC_FORMAT], [item])
+
+    def test_constructor_keeps_last_of_duplicate_identifiers(self):
+        first = StoredItem(ItemIdentifier("r"), Datestamp(2001, 1, 1), deleted=True)
+        second = StoredItem(ItemIdentifier("r"), Datestamp(1999, 1, 1), deleted=True)
+        assert MemoryStore([], [first, second]).ids_by_date() == [second]
+
 
 class TestDisseminate:
     def test_record2_dc(self, store):

@@ -173,6 +173,13 @@ class TestParseListResponse:
         with pytest.raises(ParseError):
             parse_list_response(doc, OaiVerb.LIST_IDENTIFIERS)
 
+    @pytest.mark.parametrize("name", [" ", " x", "x ", "a  b"])
+    def test_repository_name_whitespace_round_trips(self, name):
+        repo = RepositoryDescription(name, "http://localhost/oai1", ("a@b.org",))
+        doc = render_envelope(make_envelope(OaiVerb.IDENTIFY, [repo]))
+        (parsed,) = parse_list_response(doc, OaiVerb.IDENTIFY).items
+        assert parsed.repository_name == name
+
 
 # -- randomized round-trip --------------------------------------------------
 
