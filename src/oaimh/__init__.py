@@ -12,7 +12,6 @@ from .model import (
     ResponseDate,
     ResumptionToken,
     datestamp_parse,
-    oai_identifier_parse,
 )
 from .provider import Provider, ProviderConfig, ThrottlePolicy
 from .store import FileStore, MemoryStore, StoredItem, fixture_store
@@ -36,5 +35,4 @@ __all__ = [
     "ThrottlePolicy",
     "datestamp_parse",
     "fixture_store",
-    "oai_identifier_parse",
 ]

@@ -69,9 +69,6 @@ class ClientConfig:
 
 
 class SystemClock:
-    def now(self) -> float:
-        return time.time()
-
     def sleep(self, seconds: float) -> None:
         time.sleep(seconds)
 

@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +24,6 @@ from .model import (
     MetadataRecord,
     OaiRequest,
     OaiVerb,
-    ResponseDate,
     datestamp_parse,
 )
 from .store import FileStore, StoredItem
@@ -57,7 +55,6 @@ class HarvestPlan:
 
 @dataclass
 class HarvestOutcome:
-    identify_file: str
     page_files: list[str] = field(default_factory=list)
     total_items: int = 0
     identify_changed: bool = False
@@ -71,14 +68,7 @@ def extract_from_date(identify_doc: str) -> Datestamp:
     inclusive from of the next harvest gives a one-day overlap without any
     timezone conversion.
     """
-    try:
-        root = ET.fromstring(identify_doc)
-    except ET.ParseError as exc:
-        raise ParseError(f"malformed Identify document: {exc}") from None
-    for child in root.iter():
-        if child.tag.rpartition("}")[2] == "responseDate":
-            return ResponseDate.parse((child.text or "").strip()).date_part()
-    raise ParseError("Identify document has no responseDate element")
+    return parse_list_response(identify_doc, OaiVerb.IDENTIFY).envelope.response_date.date
 
 
 def _first_page_request(plan: HarvestPlan) -> OaiRequest:
@@ -115,7 +105,7 @@ def run_harvest(
     with open(identify_path, "w", encoding="utf-8") as fh:
         fh.write(identify_body)
 
-    outcome = HarvestOutcome(identify_file=identify_path)
+    outcome = HarvestOutcome()
 
     resolved_from = plan.from_date
     if plan.prev_identify is not None:

@@ -27,13 +27,6 @@ class OaiVerb(str, Enum):
     LIST_SETS = "ListSets"
     LIST_METADATA_FORMATS = "ListMetadataFormats"
 
-    @classmethod
-    def from_string(cls, text: str) -> "OaiVerb":
-        for verb in cls:
-            if verb.value == text:
-                return verb
-        raise ValueError(f"unknown verb: {text!r}")
-
 
 _DATESTAMP_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 
@@ -56,10 +49,6 @@ class Datestamp:
 
     def __str__(self) -> str:
         return "%04d-%02d-%02d" % (self.year, self.month, self.day)
-
-    def next_day(self) -> "Datestamp":
-        d = _dt.date(self.year, self.month, self.day) + _dt.timedelta(days=1)
-        return Datestamp(d.year, d.month, d.day)
 
 
 def datestamp_parse(text: str) -> Datestamp:
@@ -93,10 +82,6 @@ class ResponseDate:
         if not (0 <= self.hour <= 23 and 0 <= self.minute <= 59 and 0 <= self.second <= 59):
             raise ValueError(f"invalid time of day: {self.hour}:{self.minute}:{self.second}")
 
-    def date_part(self) -> Datestamp:
-        """The calendar date as printed; no timezone conversion is applied."""
-        return self.date
-
     def render(self) -> str:
         sign = "-" if self.utc_offset_minutes < 0 else "+"
         off = abs(self.utc_offset_minutes)
@@ -127,22 +112,6 @@ class ResponseDate:
         return cls(
             Datestamp(t.year, t.month, t.day), t.hour, t.minute, t.second, utc_offset_minutes
         )
-
-
-def oai_identifier_parse(value: str) -> Optional[tuple[str, str, str]]:
-    """Split an identifier into (scheme, repository, local) when it matches
-    the colon-separated OAI identifier syntax; plain URIs yield None.
-
-    The local part may itself contain colons or slashes; the split is at the
-    first two colons only.
-    """
-    parts = value.split(":", 2)
-    if len(parts) != 3:
-        return None
-    scheme, repo, local = parts
-    if not scheme or not repo:
-        return None
-    return scheme, repo, local
 
 
 @dataclass(frozen=True)

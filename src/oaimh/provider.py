@@ -105,7 +105,7 @@ class PageCursor:
             raise BadResumptionToken(token)
         verb_text, from_text, until_text, last_date, last_id, prefix = parts
         try:
-            verb = OaiVerb.from_string(verb_text)
+            verb = OaiVerb(verb_text)
             from_date = None if from_text == "-" else datestamp_parse(from_text)
             until_date = None if until_text == "-" else datestamp_parse(until_text)
             after = None

@@ -110,7 +110,7 @@ def parse_request(raw: str) -> OaiRequest:
 
     verb_text = dict(pairs)["verb"]
     try:
-        verb = OaiVerb.from_string(verb_text)
+        verb = OaiVerb(verb_text)
     except ValueError:
         raise RequestSyntaxError(f"unknown verb: {verb_text}") from None
 

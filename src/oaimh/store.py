@@ -25,6 +25,7 @@ from .model import (
     RecordHeader,
     datestamp_parse,
 )
+from .wire import element_fragment
 
 
 class NotFound(KeyError):
@@ -275,21 +276,17 @@ def _load_catalog(path: str) -> tuple[list[MetadataFormatDescriptor], list[Store
         )
         for el in root.findall("format")
     ]
-    items = []
-    for el in root.findall("item"):
-        payloads = []
-        for payload_el in el.findall("payload"):
-            children = list(payload_el)
-            if not children:
-                continue
-            fragment = ET.tostring(children[0], encoding="unicode").strip()
-            payloads.append((payload_el.get("prefix"), fragment))
-        items.append(
-            StoredItem(
-                ItemIdentifier(el.get("identifier")),
-                datestamp_parse(el.get("datestamp")),
-                deleted=el.get("deleted") == "true",
-                payloads=tuple(payloads),
-            )
+    items = [
+        StoredItem(
+            ItemIdentifier(el.get("identifier")),
+            datestamp_parse(el.get("datestamp")),
+            deleted=el.get("deleted") == "true",
+            payloads=tuple([
+                (payload_el.get("prefix"), element_fragment(payload_el[0]))
+                for payload_el in el.findall("payload")
+                if len(payload_el)
+            ]),
         )
+        for el in root.findall("item")
+    ]
     return formats, items

@@ -8,6 +8,7 @@ namespace-prefix variation.
 
 from __future__ import annotations
 
+import pyexpat  # the C module behind xml.parsers.expat; ElementTree loads it anyway
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ from xml.sax.saxutils import escape
 
 from .model import (
     ItemIdentifier,
-    MalformedDate,
     MetadataFormatDescriptor,
     MetadataRecord,
     OaiVerb,
@@ -64,18 +64,21 @@ class ParsedListResponse:
 
 
 def _check_fragment(fragment: str) -> None:
+    # namespace-aware: a payload with an unbound prefix would make the envelope unreadable
     try:
-        ET.fromstring(fragment)
-    except ET.ParseError as exc:
+        pyexpat.ParserCreate(namespace_separator=" ").Parse(fragment, True)
+    except pyexpat.ExpatError as exc:
         raise SerializationError(f"metadata payload is not well-formed XML: {exc}") from None
 
 
-def _indent_fragment(fragment: str, pad: str) -> list[str]:
-    return [pad + line for line in fragment.strip().splitlines()]
+def element_fragment(elem: ET.Element) -> str:
+    """A parsed payload or description element as XML text, without its tail."""
+    return ET.tostring(elem, encoding="unicode").strip()
 
 
 def render_record(rec: MetadataRecord, indent: str = "") -> str:
-    """Render a <record> fragment: header, then metadata iff a payload exists."""
+    """Render a <record> fragment: header, then metadata iff a payload exists,
+    written exactly as held."""
     header = rec.header
     status = ' status="deleted"' if header.deleted else ""
     lines = [f"{indent}<record>", f"{indent} <header>"]
@@ -88,7 +91,7 @@ def render_record(rec: MetadataRecord, indent: str = "") -> str:
     if rec.metadata is not None:
         _check_fragment(rec.metadata)
         lines.append(f"{indent} <metadata>")
-        lines.extend(_indent_fragment(rec.metadata, indent + "  "))
+        lines.append(rec.metadata)
         lines.append(f"{indent} </metadata>")
     lines.append(f"{indent}</record>")
     return "\n".join(lines)
@@ -116,7 +119,7 @@ def _render_repository(repo: RepositoryDescription, indent: str) -> list[str]:
         lines.append(f"{indent}<adminEmail>{escape(email)}</adminEmail>")
     for block in repo.descriptions:
         _check_fragment(block)
-        lines.extend(_indent_fragment(block, indent))
+        lines.append(block)
     return lines
 
 
@@ -188,13 +191,6 @@ def _parse_header(elem: ET.Element) -> RecordHeader:
     return RecordHeader(identifier, datestamp, deleted)
 
 
-def _payload_fragment(metadata_elem: ET.Element) -> Optional[str]:
-    children = list(metadata_elem)
-    if not children:
-        return None
-    return ET.tostring(children[0], encoding="unicode").strip()
-
-
 def _parse_record(elem: ET.Element) -> MetadataRecord:
     header = None
     metadata = None
@@ -203,8 +199,8 @@ def _parse_record(elem: ET.Element) -> MetadataRecord:
         name = _local(child.tag)
         if name == "header":
             header = _parse_header(child)
-        elif name == "metadata":
-            metadata = _payload_fragment(child)
+        elif name == "metadata" and len(child):
+            metadata = element_fragment(child[0])
     if header is None:
         raise ParseError("record without header")
     if deleted and not header.deleted:
@@ -234,7 +230,8 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
 
     Tolerant of namespace prefixes and inter-element whitespace; captures
     deleted status from the status attribute; the resumptionToken text is
-    extracted verbatim (element attributes are ignored).
+    extracted verbatim (element attributes are ignored). Malformed XML, and a
+    value the model refuses such as a bad date, raise ParseError.
     """
     try:
         root = ET.fromstring(doc)
@@ -243,7 +240,13 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
     root_name = _local(root.tag)
     if root_name != expected_verb.value:
         raise VerbMismatch(f"expected {expected_verb.value} response, got {root_name}")
+    try:
+        return _parse_root(root, expected_verb)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
+
+def _parse_root(root: ET.Element, expected_verb: OaiVerb) -> ParsedListResponse:
     response_date: Optional[ResponseDate] = None
     request_url = ""
     items: list[BodyItem] = []
@@ -253,10 +256,7 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
     for child in root:
         name = _local(child.tag)
         if name == "responseDate":
-            try:
-                response_date = ResponseDate.parse(_text(child))
-            except MalformedDate as exc:
-                raise ParseError(str(exc)) from None
+            response_date = ResponseDate.parse(_text(child))
         elif name == "requestURL":
             request_url = _text(child)
         elif name == "identifier":
@@ -282,9 +282,7 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
             repo_fields["emails"].append(_text(child))
         else:
             # unknown blocks (e.g. Identify description containers) are kept opaque
-            repo_fields["descriptions"].append(
-                ET.tostring(child, encoding="unicode").strip()
-            )
+            repo_fields["descriptions"].append(element_fragment(child))
 
     if response_date is None:
         raise ParseError("response has no responseDate element")

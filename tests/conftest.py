@@ -6,7 +6,7 @@ import datetime as dt
 
 import pytest
 
-from oaimh.model import RepositoryDescription
+from oaimh.model import Datestamp, RepositoryDescription
 from oaimh.provider import Provider, ProviderConfig
 from oaimh.store import fixture_store
 
@@ -15,6 +15,11 @@ BASE_URL = "http://localhost/oai1"
 # noon UTC on 2001-06-05; with a -06:00 repository zone the local date is
 # 2001-06-05, the day the incremental-harvest scenario revolves around
 EPOCH_2001_06_05 = dt.datetime(2001, 6, 5, 12, 0, 0, tzinfo=dt.timezone.utc).timestamp()
+
+
+def days_after(day: Datestamp, days: int) -> Datestamp:
+    d = dt.date(day.year, day.month, day.day) + dt.timedelta(days=days)
+    return Datestamp(d.year, d.month, d.day)
 
 
 class FakeClock:

@@ -35,7 +35,7 @@ from oaimh.wire import (
 )
 
 import transcripts
-from conftest import BASE_URL, EPOCH_2001_06_05, FakeClock, FakeNetwork, make_provider
+from conftest import BASE_URL, EPOCH_2001_06_05, FakeClock, FakeNetwork, days_after, make_provider
 
 CFG = ClientConfig(contact_email="tester@example.org")
 
@@ -222,12 +222,10 @@ class TestCriterion5OverlapNoLoss:
             run_harvest(HarvestPlan(BASE_URL, str(first_dir)), CFG, clock, net.transport)
             last_harvest_day = ResponseDate.from_epoch(
                 harvest_epoch, provider.config.clock_offset_minutes
-            ).date_part()
+            ).date
 
             # mutate on a day >= the stored responseDate's day
-            mutation_day = last_harvest_day
-            for _ in range(rng.randint(0, 15)):
-                mutation_day = mutation_day.next_day()
+            mutation_day = days_after(last_harvest_day, rng.randint(0, 15))
             mutated = set()
             for j in range(rng.randint(1, 5)):
                 ident = ItemIdentifier(f"mut{trial}_{j}")

@@ -1,17 +1,21 @@
 import json
 import os
+import xml.etree.ElementTree as ET
+from functools import partial
 
 import pytest
 
+from oaimh import harvester
 from oaimh.client import ClientConfig
 from oaimh.harvester import (
+    EXIT_FAILED,
     HarvestPlan,
     extract_from_date,
     merge_into_catalog,
     run_harvest,
 )
 from oaimh.model import Datestamp, ItemIdentifier, OaiVerb
-from oaimh.store import StoredItem, dc_payload
+from oaimh.store import DC_FORMAT, FileStore, MemoryStore, StoredItem, dc_payload, fixture_store
 from oaimh.wire import ParseError
 
 from conftest import BASE_URL, FakeClock, FakeNetwork, make_provider
@@ -47,6 +51,16 @@ class TestExtractFromDate:
     def test_missing_response_date(self):
         with pytest.raises(ParseError):
             extract_from_date("<Identify></Identify>")
+
+    def test_bad_stored_response_date_fails_the_command(self, network, tmp_path, monkeypatch):
+        prev = tmp_path / "Identify.prev"
+        prev.write_text(
+            "<Identify><responseDate>2001-13-45T00:00:00+00:00</responseDate></Identify>"
+        )
+        monkeypatch.setattr(harvester, "run_harvest", partial(
+            run_harvest, clock=network.clock, transport=network.transport))
+        argv = [BASE_URL, "-d", str(tmp_path), "-i", str(prev), "--email", "t@example.org"]
+        assert harvester.main(argv) == EXIT_FAILED
 
 
 class TestHarvestScenario:
@@ -244,6 +258,37 @@ class TestMerge:
         harvest(network, tmp_path / "h1")
         with pytest.raises(ValueError):
             merge_into_catalog(str(tmp_path / "h1"), str(tmp_path / "catalog.xml"))
+
+    def test_first_merge_of_held_items_is_unchanged(self, network, tmp_path):
+        catalog = FileStore(str(tmp_path / "catalog.xml"))
+        for item in fixture_store().items():
+            dc_only = tuple(p for p in item.payloads if p[0] == "oai_dc")
+            catalog.upsert_item(
+                StoredItem(item.identifier, item.datestamp, item.deleted, dc_only), [DC_FORMAT]
+            )
+        catalog.save()
+        self.records_harvest(network, tmp_path / "h1")
+        report = merge_into_catalog(str(tmp_path / "h1"), catalog.path)
+        assert (report.added, report.updated, report.deleted, report.unchanged) == (0, 0, 0, 3)
+
+    def test_payload_byte_identical_from_hop_one(self, clock, tmp_path):
+        # each hop: serve the store, harvest ListRecords, merge into a new catalog
+        ident = ItemIdentifier("multi")
+        store = MemoryStore([DC_FORMAT], [StoredItem(
+            ident, Datestamp(2000, 1, 1),
+            payloads=(("oai_dc", dc_payload("line one\nline two", "A")),),
+        )])
+        payloads = []
+        for hop in range(1, 5):
+            net = FakeNetwork(clock)
+            net.add(BASE_URL, make_provider(store=store))
+            harvest(net, tmp_path / f"h{hop}", verb=OaiVerb.LIST_RECORDS)
+            merge_into_catalog(str(tmp_path / f"h{hop}"), str(tmp_path / f"c{hop}.xml"))
+            store = FileStore(str(tmp_path / f"c{hop}.xml"))
+            payloads.append(store.get_item(ident).payload("oai_dc"))
+        assert payloads == payloads[:1] * 4
+        title = ET.fromstring(payloads[-1]).find("{http://purl.org/dc/elements/1.1/}title")
+        assert title.text == "line one\nline two"
 
     def test_paging_transparency(self, clock, tmp_path):
         # page_size 1 and "infinite" produce identical merged catalogs

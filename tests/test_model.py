@@ -14,7 +14,6 @@ from oaimh.model import (
     ResponseDate,
     ResumptionToken,
     datestamp_parse,
-    oai_identifier_parse,
 )
 
 dates = st.dates().map(lambda d: Datestamp(d.year, d.month, d.day))
@@ -47,22 +46,19 @@ class TestDatestamp:
     def test_ordering_matches_lexicographic(self, a, b):
         assert (a < b) == (str(a) < str(b))
 
-    def test_next_day_rolls_over(self):
-        assert Datestamp(1999, 12, 31).next_day() == Datestamp(2000, 1, 1)
-
 
 class TestResponseDate:
     def test_date_part_from_transcript(self):
         rd = ResponseDate.parse("2001-05-05T12:27:36-06:00")
-        assert rd.date_part() == Datestamp(2001, 5, 5)
+        assert rd.date == Datestamp(2001, 5, 5)
 
     def test_date_part_midnight(self):
         rd = ResponseDate.parse("2001-06-05T00:00:00+00:00")
-        assert rd.date_part() == Datestamp(2001, 6, 5)
+        assert rd.date == Datestamp(2001, 6, 5)
 
     def test_no_timezone_conversion(self):
         rd = ResponseDate.parse("1999-12-31T23:59:59-06:00")
-        assert rd.date_part() == Datestamp(1999, 12, 31)
+        assert rd.date == Datestamp(1999, 12, 31)
 
     def test_render_matches_transcript_form(self):
         rd = ResponseDate(Datestamp(2001, 5, 5), 12, 27, 36, -360)
@@ -87,43 +83,6 @@ class TestResponseDate:
         assert rd.render() == "2001-06-04T20:00:00-06:00"
 
 
-class TestOaiIdentifierParse:
-    def test_arxiv_style(self):
-        assert oai_identifier_parse("oai:arXiv:hep-lat/0008015") == (
-            "oai",
-            "arXiv",
-            "hep-lat/0008015",
-        )
-
-    def test_bare_identifier(self):
-        assert oai_identifier_parse("record1") is None
-
-    def test_local_part_keeps_extra_colons(self):
-        assert oai_identifier_parse("oai:repo:a:b") == ("oai", "repo", "a:b")
-
-    @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=30))
-    def test_matches_split_at_first_two_colons_oracle(self, value):
-        # independent oracle: naive split at the first two colons
-        expected = None
-        if value.count(":") >= 2:
-            first = value.index(":")
-            second = value.index(":", first + 1)
-            scheme, repo = value[:first], value[first + 1 : second]
-            if scheme and repo:
-                expected = (scheme, repo, value[second + 1 :])
-        assert oai_identifier_parse(value) == expected
-
-    @given(st.text(min_size=1).filter(lambda s: s.count(":") < 2))
-    def test_never_fires_below_two_colons(self, value):
-        assert oai_identifier_parse(value) is None
-
-    @given(st.text(min_size=1))
-    def test_rejoin_reproduces_value(self, value):
-        parsed = oai_identifier_parse(value)
-        if parsed is not None:
-            assert ":".join(parsed) == value
-
-
 class TestInvariants:
     def test_verb_set_is_closed(self):
         assert {v.value for v in OaiVerb} == {
@@ -135,7 +94,7 @@ class TestInvariants:
             "ListMetadataFormats",
         }
         with pytest.raises(ValueError):
-            OaiVerb.from_string("Destroy")
+            OaiVerb("Destroy")
 
     def test_empty_identifier_rejected(self):
         with pytest.raises(ValueError):

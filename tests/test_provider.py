@@ -1,5 +1,6 @@
 import random
 import urllib.parse
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -71,6 +72,26 @@ class TestHandle:
         assert [l.split("?")[0] for l in locations] == [
             "http://a/oai", "http://b/oai", "http://a/oai", "http://b/oai",
         ]
+
+
+class TestPayloadText:
+    """A payload is served as stored: a multi-line text node keeps its text."""
+
+    ITEM = StoredItem(
+        ItemIdentifier("multi"),
+        Datestamp(2000, 1, 1),
+        payloads=(("oai_dc", dc_payload("line one\nline two", "A")),),
+    )
+
+    @pytest.mark.parametrize("verb", [OaiVerb.GET_RECORD, OaiVerb.LIST_RECORDS])
+    def test_multi_line_text_survives(self, verb):
+        raw = f"verb={verb.value}&metadataPrefix=oai_dc"
+        if verb is OaiVerb.GET_RECORD:
+            raw += "&identifier=multi"
+        provider = make_provider(store=MemoryStore([DC_FORMAT], [self.ITEM]))
+        (record,) = parsed(provider, raw, verb).items
+        title = ET.fromstring(record.metadata).find("{http://purl.org/dc/elements/1.1/}title")
+        assert title.text == "line one\nline two"
 
 
 class TestThrottleCheck:

@@ -16,6 +16,8 @@ from oaimh.store import (
     render_catalog,
 )
 
+from conftest import days_after
+
 RECORD4 = StoredItem(
     ItemIdentifier("record4"),
     Datestamp(2001, 6, 5),
@@ -200,7 +202,7 @@ class TestProperties:
             if b == c:
                 continue
             left = store.ids_by_date(a, b)
-            right = store.ids_by_date(b.next_day(), c)
+            right = store.ids_by_date(days_after(b, 1), c)
             merged = sorted(
                 left + right, key=lambda h: (h.datestamp, h.identifier.value)
             )

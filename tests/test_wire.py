@@ -102,10 +102,16 @@ class TestRenderRecord:
         assert "<metadata>" not in fragment
         assert 'status="deleted"' in fragment
 
-    def test_malformed_payload_rejected(self):
+    @pytest.mark.parametrize("payload", [
+        "<broken",
+        "<a/><b/>",
+        "bare text",
+        "<oai_dc><dc:title>x</dc:title></oai_dc>",  # unbound prefix
+    ])
+    def test_malformed_payload_rejected(self, payload):
         header = RecordHeader(ItemIdentifier("x"), Datestamp(2000, 1, 1))
         with pytest.raises(SerializationError):
-            render_record(MetadataRecord(header, "<broken"))
+            render_record(MetadataRecord(header, payload))
 
 
 class TestRenderDc:
@@ -167,6 +173,34 @@ class TestParseListResponse:
         parsed = parse_list_response(doc, OaiVerb.LIST_IDENTIFIERS)
         assert parsed.items[0].identifier.value == "r9"
         assert parsed.items[0].deleted
+
+    def test_description_block_round_trips(self):
+        # written as the parser writes it back: the dc prefix is one ElementTree knows
+        block = (
+            '<dc:description xmlns:dc="http://purl.org/dc/elements/1.1/">\n'
+            " <dc:p>line one\nline two</dc:p>\n"
+            "</dc:description>"
+        )
+        repo = RepositoryDescription("Demo", "http://localhost/oai1", ("a@b.org",),
+                                     descriptions=(block,))
+        doc = render_envelope(make_envelope(OaiVerb.IDENTIFY, [repo]))
+        (parsed,) = parse_list_response(doc, OaiVerb.IDENTIFY).items
+        assert parsed.descriptions == (block,)
+
+    def test_bad_values_are_parse_errors(self):
+        date = "<responseDate>2001-01-01T00:00:00+00:00</responseDate>"
+        for doc, verb in [
+            ("<Identify><responseDate>2001-01-01T25:00:00+00:00</responseDate></Identify>",
+             OaiVerb.IDENTIFY),
+            (f"<ListRecords>{date}<record><header><identifier>a</identifier>"
+             "<datestamp>2001-13-01</datestamp></header></record></ListRecords>",
+             OaiVerb.LIST_RECORDS),
+            (f"<ListIdentifiers>{date}<identifier/></ListIdentifiers>", OaiVerb.LIST_IDENTIFIERS),
+            # no adminEmail
+            (f"<Identify>{date}<repositoryName>r</repositoryName></Identify>", OaiVerb.IDENTIFY),
+        ]:
+            with pytest.raises(ParseError):
+                parse_list_response(doc, verb)
 
     def test_missing_response_date(self):
         doc = "<ListIdentifiers></ListIdentifiers>"
