@@ -183,7 +183,8 @@ def merge_into_catalog(out_dir: str, catalog_path: str) -> MergeReport:
     """Fold a completed ListRecords harvest into a local catalog file.
 
     Records re-fetched due to the date overlap replace their prior copies;
-    deleted headers mark the local copy deleted and drop its payload.
+    deleted headers mark the local copy deleted and drop its payload. A merge
+    that changes nothing leaves an existing catalog file untouched.
     """
     with open(os.path.join(out_dir, MANIFEST_NAME), encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -201,7 +202,8 @@ def merge_into_catalog(out_dir: str, catalog_path: str) -> MergeReport:
             if not isinstance(record, MetadataRecord):
                 raise ParseError(f"unexpected item in ListRecords page: {record!r}")
             _merge_record(catalog, record, prefix, descriptor, report)
-    catalog.save()
+    if report.added or report.updated or report.deleted or not os.path.exists(catalog_path):
+        catalog.save()
     return report
 
 

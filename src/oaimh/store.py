@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import threading
-import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -25,7 +24,7 @@ from .model import (
     RecordHeader,
     datestamp_parse,
 )
-from .wire import element_fragment
+from .wire import read_xml
 
 
 class NotFound(KeyError):
@@ -269,24 +268,45 @@ def render_catalog(store: MemoryStore) -> str:
 
 
 def _load_catalog(path: str) -> tuple[list[MetadataFormatDescriptor], list[StoredItem]]:
-    root = ET.parse(path).getroot()
-    formats = [
-        MetadataFormatDescriptor(
-            el.get("prefix"), el.get("schema"), el.get("namespace")
-        )
-        for el in root.findall("format")
-    ]
-    items = [
-        StoredItem(
-            ItemIdentifier(el.get("identifier")),
-            datestamp_parse(el.get("datestamp")),
-            deleted=el.get("deleted") == "true",
-            payloads=tuple([
-                (payload_el.get("prefix"), element_fragment(payload_el[0]))
-                for payload_el in el.findall("payload")
-                if len(payload_el)
-            ]),
-        )
-        for el in root.findall("item")
-    ]
+    """Formats and items from a catalog file; each payload is the first
+    element in its <payload>, taken as written."""
+    formats: list[MetadataFormatDescriptor] = []
+    items: list[StoredItem] = []
+    item: dict[str, str] = {}  # attributes of the open <item>
+    payloads: list[tuple[str, str]] = []
+    prefix: Optional[str] = None  # of the open <payload>, until its element is cut
+
+    def on_start(depth: int, local: str, attrs: dict[str, str]) -> bool:
+        nonlocal item, prefix
+        if depth == 1:
+            if local == "format":
+                formats.append(MetadataFormatDescriptor(
+                    attrs.get("prefix"), attrs.get("schema"), attrs.get("namespace")
+                ))
+            elif local == "item":
+                item = attrs
+                payloads.clear()
+        elif depth == 2:
+            prefix = attrs.get("prefix", "") if local == "payload" else None
+        elif depth == 3:
+            return prefix is not None
+        return False
+
+    def on_end(depth: int, local: str, text: str) -> None:
+        if depth == 1 and local == "item":
+            items.append(StoredItem(
+                ItemIdentifier(item.get("identifier")),
+                datestamp_parse(item.get("datestamp")),
+                deleted=item.get("deleted") == "true",
+                payloads=tuple(payloads),
+            ))
+
+    def on_span(depth: int, text: str) -> None:
+        nonlocal prefix
+        payloads.append((prefix, text))
+        prefix = None
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    read_xml(data, on_start, on_end, on_span)
     return formats, items

@@ -3,17 +3,17 @@
 Every response is a per-verb envelope whose root element is named after the
 verb, with responseDate and requestURL as the first two children. Whitespace
 and indentation between elements are non-normative; parsing is tolerant of
-namespace-prefix variation.
+namespace-prefix variation. Responses and catalog files are read in one expat
+pass that cuts payloads out of the document as written.
 """
 
 from __future__ import annotations
 
-import pyexpat  # the C module behind xml.parsers.expat; ElementTree loads it anyway
+import pyexpat  # the C module that xml.parsers.expat re-exports
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Optional, Union
-from xml.sax.saxutils import escape
+from typing import Callable, Optional, Union
+from xml.sax.saxutils import escape, quoteattr
 
 from .model import (
     ItemIdentifier,
@@ -63,17 +63,19 @@ class ParsedListResponse:
     token: Optional[ResumptionToken]
 
 
+def _refuse_prolog(*args) -> None:
+    raise SerializationError("metadata payload has an XML or DOCTYPE declaration")
+
+
 def _check_fragment(fragment: str) -> None:
-    # namespace-aware: a payload with an unbound prefix would make the envelope unreadable
+    # namespace-aware: a payload with an unbound prefix would make the envelope
+    # unreadable, and so would a declaration written inside it
+    parser = pyexpat.ParserCreate(namespace_separator=" ")
+    parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = _refuse_prolog
     try:
-        pyexpat.ParserCreate(namespace_separator=" ").Parse(fragment, True)
+        parser.Parse(fragment, True)
     except pyexpat.ExpatError as exc:
         raise SerializationError(f"metadata payload is not well-formed XML: {exc}") from None
-
-
-def element_fragment(elem: ET.Element) -> str:
-    """A parsed payload or description element as XML text, without its tail."""
-    return ET.tostring(elem, encoding="unicode").strip()
 
 
 def render_record(rec: MetadataRecord, indent: str = "") -> str:
@@ -159,146 +161,238 @@ def render_envelope(env: ResponseEnvelope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _local(tag: str) -> str:
-    return tag.rpartition("}")[2]
+# a start tag, quote-aware so that "/>" inside an attribute value is not its end
+_START_TAG = re.compile(rb"""(<[^\s/>]+)(?:[^"'>]|"[^"]*"|'[^']*')*>""")
 
 
-def _attr(elem: ET.Element, name: str) -> Optional[str]:
-    for key, value in elem.attrib.items():
-        if _local(key) == name:
-            return value
-    return None
+def _refuse_entities(*args) -> None:
+    raise ParseError("only the predefined entities are supported: a cut element could not carry others")
 
 
-def _text(elem: ET.Element) -> str:
-    return (elem.text or "").strip()
+def _cut(data: bytes, start: int, end: int, inherited: dict[str, str]) -> str:
+    """The source text of the element whose start tag begins at `start` and
+    whose end event came at `end`, with `inherited` (prefix -> URI, "" for the
+    default namespace) declared on its root."""
+    tag = _START_TAG.match(data, start)
+    if not data.startswith(b"/>", tag.end() - 2):
+        # the end event of a non-empty element comes at its end tag
+        end = data.index(b">", end) + 1
+    if not inherited:
+        return data[start:end].decode("utf-8")
+    decls = "".join(
+        f" xmlns:{prefix}={quoteattr(uri)}" if prefix else f" xmlns={quoteattr(uri)}"
+        for prefix, uri in inherited.items()
+    )
+    split = tag.end(1)
+    return (data[start:split] + decls.encode("utf-8") + data[split:end]).decode("utf-8")
 
 
-def _parse_header(elem: ET.Element) -> RecordHeader:
-    identifier = None
-    datestamp = None
-    deleted = _attr(elem, "status") == "deleted"
-    for child in elem:
-        name = _local(child.tag)
-        if name == "identifier":
-            identifier = ItemIdentifier(_text(child))
-            if _attr(child, "status") == "deleted":
-                deleted = True
-        elif name == "datestamp":
-            datestamp = datestamp_parse(_text(child))
-    if identifier is None:
-        raise ParseError("record header without identifier")
-    return RecordHeader(identifier, datestamp, deleted)
+def read_xml(
+    data: bytes,
+    on_start: Callable[[int, str, dict[str, str]], bool],
+    on_end: Callable[[int, str, str], None],
+    on_span: Callable[[int, str], None],
+) -> None:
+    """One namespace-aware pass over a UTF-8 document; the root has depth 0.
+
+    `on_start(depth, local, attrs)` gets an element's local name and its
+    attributes keyed by local name. When it returns True the element is cut
+    out: `on_span(depth, text)` gets its exact source text, with the namespace
+    declarations it uses but inherits from an ancestor added to its root, and
+    its descendants send no events. `on_end(depth, local, text)` gets every
+    element not cut, with the character data after its last child tag (all its
+    text when it has no child elements). Malformed XML, and entities other than
+    the predefined ones, which a cut could not carry, raise ParseError.
+    """
+    parser = pyexpat.ParserCreate("utf-8", " ")
+    parser.namespace_prefixes = True  # names read "uri local prefix", "uri local" or "local"
+    parser.buffer_text = True
+    chunks: list[str] = []
+    # prefixes are "" for the default namespace
+    pending: list[str] = []  # prefixes declared on the next start tag
+    names: dict[str, tuple[str, str, Optional[str]]] = {}  # name -> local, prefix, URI
+    depth = 0
+    cut_depth = -1  # depth of the element being cut, -1 when none is
+    cut_start = 0
+    declared: dict[str, int] = {}  # prefix -> declarations of it active inside the cut
+    inherited: dict[str, str] = {}  # prefix -> URI the cut uses but does not declare
+
+    def split(name: str) -> tuple[str, str, Optional[str]]:
+        parts = name.split(" ")
+        if len(parts) == 1:
+            names[name] = parsed = (name, "", None)
+        else:
+            # the xml prefix is bound in every document, so never declared
+            prefix = parts[2] if len(parts) == 3 else ""
+            names[name] = parsed = (parts[1], prefix, None if prefix == "xml" else parts[0])
+        return parsed
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, cut_depth, cut_start, declared, inherited
+        level = depth
+        depth = level + 1
+        local, prefix, uri = names.get(name) or split(name)
+        if cut_depth < 0:
+            if chunks:
+                chunks.clear()
+            if attrs:
+                by_local = {(names.get(k) or split(k))[0]: v for k, v in attrs.items()}
+                cut = on_start(level, local, by_local)
+            else:
+                cut = on_start(level, local, attrs)
+            if not cut:
+                if pending:
+                    pending.clear()
+                return
+            cut_depth = level
+            cut_start = parser.CurrentByteIndex
+            declared = dict.fromkeys(pending, 1)
+            inherited = {}
+            pending.clear()
+        if uri is not None and not declared.get(prefix):
+            inherited.setdefault(prefix, uri)
+        for key in attrs:
+            _, prefix, uri = names.get(key) or split(key)
+            if uri is not None and not declared.get(prefix):
+                inherited.setdefault(prefix, uri)
+
+    def end(name: str) -> None:
+        nonlocal depth, cut_depth
+        depth -= 1
+        if cut_depth < 0:
+            text = "".join(chunks)
+            chunks.clear()
+            on_end(depth, names[name][0], text)
+        elif depth == cut_depth:
+            cut_depth = -1
+            chunks.clear()
+            on_span(depth, _cut(data, cut_start, parser.CurrentByteIndex, inherited))
+
+    def start_namespace(prefix: Optional[str], uri: str) -> None:
+        prefix = prefix or ""
+        if cut_depth >= 0:
+            declared[prefix] = declared.get(prefix, 0) + 1
+        else:
+            pending.append(prefix)
+
+    def end_namespace(prefix: Optional[str]) -> None:
+        if cut_depth >= 0:
+            declared[prefix or ""] -= 1
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chunks.append
+    parser.StartNamespaceDeclHandler = start_namespace
+    parser.EndNamespaceDeclHandler = end_namespace
+    parser.EntityDeclHandler = parser.SkippedEntityHandler = _refuse_entities
+    try:
+        parser.Parse(data, True)
+    except pyexpat.ExpatError as exc:
+        raise ParseError(f"malformed XML: {exc}") from None
+    finally:
+        # these handlers refer to the parser: break the cycle so refcounting frees both
+        parser.StartElementHandler = parser.EndElementHandler = None
 
 
-def _parse_record(elem: ET.Element) -> MetadataRecord:
-    header = None
-    metadata = None
-    deleted = _attr(elem, "status") == "deleted"
-    for child in elem:
-        name = _local(child.tag)
-        if name == "header":
-            header = _parse_header(child)
-        elif name == "metadata" and len(child):
-            metadata = element_fragment(child[0])
-    if header is None:
-        raise ParseError("record without header")
-    if deleted and not header.deleted:
-        header = RecordHeader(header.identifier, header.datestamp, True)
-    if header.deleted:
-        metadata = None
-    return MetadataRecord(header, metadata)
-
-
-def _parse_format(elem: ET.Element) -> MetadataFormatDescriptor:
-    prefix = schema = namespace = None
-    for child in elem:
-        name = _local(child.tag)
-        if name == "metadataPrefix":
-            prefix = _text(child)
-        elif name == "schema":
-            schema = _text(child)
-        elif name == "metadataNamespace":
-            namespace = _text(child)
-    if prefix is None or schema is None:
-        raise ParseError("metadataFormat missing prefix or schema")
-    return MetadataFormatDescriptor(prefix, schema, namespace)
+# top-level elements read as fields; any other is an opaque block (an
+# Identify description container) and is cut out whole
+_FIELDS = frozenset({
+    "responseDate", "requestURL", "identifier", "record", "metadataFormat",
+    "resumptionToken", "repositoryName", "baseURL", "protocolVersion", "adminEmail",
+})
 
 
 def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
     """Parse a response document into envelope metadata, body items and token.
 
     Tolerant of namespace prefixes and inter-element whitespace; captures
-    deleted status from the status attribute; the resumptionToken text is
-    extracted verbatim (element attributes are ignored). Malformed XML, and a
-    value the model refuses such as a bad date, raise ParseError.
+    deleted status from the status attribute of a record, its header or its
+    identifier; the resumptionToken text is extracted verbatim (element
+    attributes are ignored). A payload (the first element in <metadata>) and a
+    description block are kept as written, with inherited namespace
+    declarations added to their root. Malformed XML, entity declarations, and
+    a value the model refuses such as a bad date, raise ParseError.
     """
+    items: list[BodyItem] = []
+    texts: dict[str, str] = {}  # top-level fields by name, the last of each
+    emails: list[str] = []
+    descriptions: list[str] = []
+    fields: dict[str, str] = {}  # within the open record header or metadataFormat
+    top = section = ""  # names of the open depth-1 and depth-2 elements
+    deleted = False
+    metadata: Optional[str] = None
+
+    def on_start(depth: int, local: str, attrs: dict[str, str]) -> bool:
+        nonlocal top, section, deleted, metadata
+        if depth == 0:
+            if local != expected_verb.value:
+                raise VerbMismatch(f"expected {expected_verb.value} response, got {local}")
+            return False
+        if depth == 1:
+            top, section, deleted, metadata = local, "", False, None
+            fields.clear()
+        elif depth == 2:
+            section = local
+        elif section == "metadata" and top == "record":
+            return depth == 3 and metadata is None
+        if attrs and (depth == 1 or section == "header") and attrs.get("status") == "deleted":
+            deleted = True
+        return depth == 1 and local not in _FIELDS
+
+    def on_end(depth: int, local: str, text: str) -> None:
+        if depth != 1:
+            if section == "header" or top == "metadataFormat":
+                fields[local] = text.strip()
+        elif local == "record":
+            if "header" not in fields:
+                raise ParseError("record without header")
+            if "identifier" not in fields:
+                raise ParseError("record header without identifier")
+            stamp = fields.get("datestamp")
+            header = RecordHeader(ItemIdentifier(fields["identifier"]),
+                                  None if stamp is None else datestamp_parse(stamp), deleted)
+            items.append(MetadataRecord(header, None if deleted else metadata))
+        elif local == "identifier":
+            items.append(RecordHeader(ItemIdentifier(text.strip()), None, deleted))
+        elif local == "metadataFormat":
+            if "metadataPrefix" not in fields or "schema" not in fields:
+                raise ParseError("metadataFormat missing prefix or schema")
+            items.append(MetadataFormatDescriptor(
+                fields["metadataPrefix"], fields["schema"], fields.get("metadataNamespace")
+            ))
+        elif local == "adminEmail":
+            emails.append(text.strip())
+        else:
+            texts[local] = text
+
+    def on_span(depth: int, text: str) -> None:
+        nonlocal metadata
+        if depth == 1:
+            descriptions.append(text)
+        else:
+            metadata = text
+
     try:
-        root = ET.fromstring(doc)
-    except ET.ParseError as exc:
-        raise ParseError(f"malformed XML: {exc}") from None
-    root_name = _local(root.tag)
-    if root_name != expected_verb.value:
-        raise VerbMismatch(f"expected {expected_verb.value} response, got {root_name}")
-    try:
-        return _parse_root(root, expected_verb)
+        # str input is UTF-8 whatever its XML declaration says, as in ET.fromstring
+        read_xml(doc.encode("utf-8"), on_start, on_end, on_span)
+        if "responseDate" not in texts:
+            raise ParseError("response has no responseDate element")
+        response_date = ResponseDate.parse(texts["responseDate"].strip())
+        if expected_verb is OaiVerb.IDENTIFY and "repositoryName" in texts:
+            items.append(RepositoryDescription(
+                # rendered on one line, so its text is the name, spaces and all
+                repository_name=texts["repositoryName"],
+                base_url=texts.get("baseURL", "").strip(),
+                admin_emails=tuple(emails),
+                protocol_version=texts.get("protocolVersion", "1.0").strip(),
+                descriptions=tuple(descriptions),
+            ))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def _parse_root(root: ET.Element, expected_verb: OaiVerb) -> ParsedListResponse:
-    response_date: Optional[ResponseDate] = None
-    request_url = ""
-    items: list[BodyItem] = []
-    token: Optional[ResumptionToken] = None
-    repo_fields: dict[str, object] = {"emails": [], "descriptions": []}
-
-    for child in root:
-        name = _local(child.tag)
-        if name == "responseDate":
-            response_date = ResponseDate.parse(_text(child))
-        elif name == "requestURL":
-            request_url = _text(child)
-        elif name == "identifier":
-            items.append(
-                RecordHeader(ItemIdentifier(_text(child)), None, _attr(child, "status") == "deleted")
-            )
-        elif name == "record":
-            items.append(_parse_record(child))
-        elif name == "metadataFormat":
-            items.append(_parse_format(child))
-        elif name == "resumptionToken":
-            text = _text(child)
-            if text:
-                token = ResumptionToken(text)
-        elif name == "repositoryName":
-            # rendered on one line, so its text is the name, spaces and all
-            repo_fields["name"] = child.text or ""
-        elif name == "baseURL":
-            repo_fields["base_url"] = _text(child)
-        elif name == "protocolVersion":
-            repo_fields["version"] = _text(child)
-        elif name == "adminEmail":
-            repo_fields["emails"].append(_text(child))
-        else:
-            # unknown blocks (e.g. Identify description containers) are kept opaque
-            repo_fields["descriptions"].append(element_fragment(child))
-
-    if response_date is None:
-        raise ParseError("response has no responseDate element")
-    if expected_verb is OaiVerb.IDENTIFY and "name" in repo_fields:
-        items.append(
-            RepositoryDescription(
-                repository_name=repo_fields["name"],
-                base_url=repo_fields.get("base_url", ""),
-                admin_emails=tuple(repo_fields["emails"]),
-                protocol_version=repo_fields.get("version", "1.0"),
-                descriptions=tuple(repo_fields["descriptions"]),
-            )
-        )
-
+    token_text = texts.get("resumptionToken", "").strip()
+    token = ResumptionToken(token_text) if token_text else None
     envelope = ResponseEnvelope(
-        expected_verb, response_date, request_url, tuple(items), token
+        expected_verb, response_date, texts.get("requestURL", "").strip(), tuple(items), token
     )
     return ParsedListResponse(envelope, tuple(items), token)
 

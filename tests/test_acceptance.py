@@ -7,6 +7,7 @@ tolerances are exact unless stated otherwise in the assertion.
 import os
 import random
 import string
+from pathlib import Path
 
 import pytest
 
@@ -249,7 +250,7 @@ class TestCriterion5OverlapNoLoss:
             )
             got = set()
             for page in out.page_files:
-                parsed = parse_list_response(open(page).read(), OaiVerb.LIST_IDENTIFIERS)
+                parsed = parse_list_response(Path(page).read_text(), OaiVerb.LIST_IDENTIFIERS)
                 got.update(h.identifier.value for h in parsed.items)
             missing = mutated - got
             assert not missing, f"trial {trial}: lost {missing}"

@@ -2,6 +2,7 @@ import json
 import os
 import xml.etree.ElementTree as ET
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -165,11 +166,24 @@ class TestMerge:
         self.records_harvest(network, tmp_path / "h1")
         catalog = str(tmp_path / "catalog.xml")
         merge_into_catalog(str(tmp_path / "h1"), catalog)
-        first_bytes = open(catalog).read()
+        first_bytes = Path(catalog).read_text()
         report = merge_into_catalog(str(tmp_path / "h1"), catalog)
         assert report.unchanged == 3
         assert report.added == report.updated == report.deleted == 0
-        assert open(catalog).read() == first_bytes
+        assert Path(catalog).read_text() == first_bytes
+
+    def test_merge_that_changes_nothing_writes_nothing(self, network, tmp_path, monkeypatch):
+        self.records_harvest(network, tmp_path / "h1")
+        catalog = tmp_path / "catalog.xml"
+        merge_into_catalog(str(tmp_path / "h1"), str(catalog))
+        before = catalog.stat()
+        saves = []
+        real_save = FileStore.save
+        monkeypatch.setattr(FileStore, "save", lambda self: saves.append(1) or real_save(self))
+        report = merge_into_catalog(str(tmp_path / "h1"), str(catalog))
+        assert report.unchanged == 3 and not saves
+        after = catalog.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_merge_saves_catalog_once(self, network, tmp_path, monkeypatch):
         from oaimh.store import FileStore
@@ -227,9 +241,9 @@ class TestMerge:
                 prev_identify=str(tmp_path / f"h{n-1}" / "Identify"),
             )
         merge_into_catalog(str(tmp_path / "h2"), catalog)
-        after_one = open(catalog).read()
+        after_one = Path(catalog).read_text()
         merge_into_catalog(str(tmp_path / "h3"), catalog)
-        assert open(catalog).read() == after_one
+        assert Path(catalog).read_text() == after_one
 
     def test_deletion_propagates(self, network, fixture_provider, tmp_path):
         self.records_harvest(network, tmp_path / "h1")
@@ -271,12 +285,12 @@ class TestMerge:
         report = merge_into_catalog(str(tmp_path / "h1"), catalog.path)
         assert (report.added, report.updated, report.deleted, report.unchanged) == (0, 0, 0, 3)
 
-    def test_payload_byte_identical_from_hop_one(self, clock, tmp_path):
+    def test_payload_bytes_unchanged_from_store_to_catalog(self, clock, tmp_path):
         # each hop: serve the store, harvest ListRecords, merge into a new catalog
         ident = ItemIdentifier("multi")
+        held = dc_payload("line one\nline two", "A")
         store = MemoryStore([DC_FORMAT], [StoredItem(
-            ident, Datestamp(2000, 1, 1),
-            payloads=(("oai_dc", dc_payload("line one\nline two", "A")),),
+            ident, Datestamp(2000, 1, 1), payloads=(("oai_dc", held),),
         )])
         payloads = []
         for hop in range(1, 5):
@@ -286,7 +300,7 @@ class TestMerge:
             merge_into_catalog(str(tmp_path / f"h{hop}"), str(tmp_path / f"c{hop}.xml"))
             store = FileStore(str(tmp_path / f"c{hop}.xml"))
             payloads.append(store.get_item(ident).payload("oai_dc"))
-        assert payloads == payloads[:1] * 4
+        assert payloads == [held] * 4
         title = ET.fromstring(payloads[-1]).find("{http://purl.org/dc/elements/1.1/}title")
         assert title.text == "line one\nline two"
 
@@ -300,5 +314,5 @@ class TestMerge:
             harvest(net, out_dir, verb=OaiVerb.LIST_RECORDS)
             catalog = str(tmp_path / f"catalog_{label}.xml")
             merge_into_catalog(str(out_dir), catalog)
-            catalogs[label] = open(catalog).read()
+            catalogs[label] = Path(catalog).read_text()
         assert catalogs["small"] == catalogs["big"]

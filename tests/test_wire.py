@@ -1,4 +1,6 @@
+import gc
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from oaimh.model import (
     ResponseDate,
     ResumptionToken,
 )
-from oaimh.store import dc_payload
+from oaimh.store import FileStore, dc_payload, fixture_store, render_catalog
 from oaimh.wire import (
     ParseError,
     ResponseEnvelope,
@@ -107,6 +109,9 @@ class TestRenderRecord:
         "<a/><b/>",
         "bare text",
         "<oai_dc><dc:title>x</dc:title></oai_dc>",  # unbound prefix
+        # a declaration would land in the middle of the envelope
+        '<?xml version="1.0"?><a xmlns="urn:a"/>',
+        "<!DOCTYPE a><a/>",
     ])
     def test_malformed_payload_rejected(self, payload):
         header = RecordHeader(ItemIdentifier("x"), Datestamp(2000, 1, 1))
@@ -175,11 +180,10 @@ class TestParseListResponse:
         assert parsed.items[0].deleted
 
     def test_description_block_round_trips(self):
-        # written as the parser writes it back: the dc prefix is one ElementTree knows
         block = (
-            '<dc:description xmlns:dc="http://purl.org/dc/elements/1.1/">\n'
-            " <dc:p>line one\nline two</dc:p>\n"
-            "</dc:description>"
+            '<ex:description xmlns:ex="urn:example">\n'
+            " <ex:p>line one\nline two</ex:p>\n"
+            "</ex:description>"
         )
         repo = RepositoryDescription("Demo", "http://localhost/oai1", ("a@b.org",),
                                      descriptions=(block,))
@@ -213,6 +217,189 @@ class TestParseListResponse:
         doc = render_envelope(make_envelope(OaiVerb.IDENTIFY, [repo]))
         (parsed,) = parse_list_response(doc, OaiVerb.IDENTIFY).items
         assert parsed.repository_name == name
+
+
+# -- payloads cut out as written ----------------------------------------------
+
+LIST_RECORDS_NS = "http://www.openarchives.org/OAI/OAI_ListRecords"
+XSI = "http://www.w3.org/2000/10/XMLSchema-instance"
+
+
+def records_page(metadata, root_decls="", wrapper_decls=""):
+    return (
+        f'<?xml version="1.0" encoding="UTF-8"?>\n<ListRecords xmlns="{LIST_RECORDS_NS}"{root_decls}>'
+        "<responseDate>2001-01-01T00:00:00+00:00</responseDate><requestURL>x</requestURL>"
+        "<record><header><identifier>a</identifier><datestamp>2001-01-01</datestamp></header>"
+        f"<metadata{wrapper_decls}>{metadata}</metadata></record>\n</ListRecords>\n"
+    )
+
+
+def catalog_file(path, payload, root_decls="", wrapper_decls=""):
+    path.write_bytes((
+        f'<?xml version="1.0" encoding="UTF-8"?>\n<catalog{root_decls}>\n'
+        f' <format prefix="oai_dc" schema="http://www.openarchives.org/OAI/dc.xsd"/>\n'
+        f' <item identifier="a" datestamp="2001-01-01">'
+        f'<payload prefix="oai_dc"{wrapper_decls}>{payload}</payload></item>\n</catalog>\n'
+    ).encode("utf-8"))
+    return str(path)
+
+
+def payload_of(page):
+    (record,) = parse_list_response(page, OaiVerb.LIST_RECORDS).items
+    return record.metadata
+
+
+def catalog_payload(path, *args):
+    return FileStore(catalog_file(path, *args)).get_item(ItemIdentifier("a")).payload("oai_dc")
+
+
+# (what is written inside <metadata> or <payload>, declarations on the
+# document root, declarations on the wrapper, the payload read back)
+CUT_CASES = {
+    "inherited prefix": (
+        "<dc:dc><dc:t>x</dc:t></dc:dc>", ' xmlns:dc="urn:dc"', "",
+        '<dc:dc xmlns:dc="urn:dc"><dc:t>x</dc:t></dc:dc>'),
+    "inherited default namespace": (
+        "<foo><bar/></foo>", "", ' xmlns="urn:d"', '<foo xmlns="urn:d"><bar/></foo>'),
+    "inherited xsi attribute": (
+        '<a xmlns="urn:a" xsi:type="t"/>', f' xmlns:xsi="{XSI}"', "",
+        f'<a xmlns:xsi="{XSI}" xmlns="urn:a" xsi:type="t"/>'),
+    "unused declarations stay out": (
+        '<a xmlns="urn:a">x</a>', ' xmlns:u="urn:u"', ' xmlns:v="urn:v"', '<a xmlns="urn:a">x</a>'),
+    "redeclared inside, used outside that subtree": (
+        '<a xmlns="urn:a"><b xmlns:p="urn:q"><p:x/></b><p:y/></a>', ' xmlns:p="urn:p"', "",
+        '<a xmlns:p="urn:p" xmlns="urn:a"><b xmlns:p="urn:q"><p:x/></b><p:y/></a>'),
+    "xml:lang needs no declaration": (
+        '<a xmlns="urn:a" xml:lang="en">x</a>', "", "", '<a xmlns="urn:a" xml:lang="en">x</a>'),
+    "self-closing with /> in an attribute": (
+        '<a xmlns="urn:a" b="/>" c=\'>\'/>\n', "", "", '<a xmlns="urn:a" b="/>" c=\'>\'/>'),
+    "last child self-closing": (
+        '<a xmlns="urn:a"><b/></a>', "", "", '<a xmlns="urn:a"><b/></a>'),
+    "CDATA holding the wrapper's end tag": (
+        '<a xmlns="urn:a"><![CDATA[</metadata></payload>]]></a>', "", "",
+        '<a xmlns="urn:a"><![CDATA[</metadata></payload>]]></a>'),
+    "comment and spacing kept": (
+        '<a  xmlns="urn:a" ><!--  c  -->\n  <b >x</b ></a >', "", "",
+        '<a  xmlns="urn:a" ><!--  c  -->\n  <b >x</b ></a >'),
+    "first of two elements": (
+        '<a xmlns="urn:a"/><b xmlns="urn:b"/>', "", "", '<a xmlns="urn:a"/>'),
+    "text only": ("just text", "", "", None),
+    "multibyte text": (
+        '<a xmlns="urn:a" t="Zürich">東京 – 😀 &amp; &#233;</a>', "", "",
+        '<a xmlns="urn:a" t="Zürich">東京 – 😀 &amp; &#233;</a>'),
+}
+
+
+class TestPayloadCuts:
+    @pytest.mark.parametrize("case", CUT_CASES)
+    def test_page_payload(self, case):
+        written, root_decls, wrapper_decls, expected = CUT_CASES[case]
+        assert payload_of(records_page(written, root_decls, wrapper_decls)) == expected
+
+    @pytest.mark.parametrize("case", CUT_CASES)
+    def test_catalog_payload(self, case, tmp_path):
+        written, root_decls, wrapper_decls, expected = CUT_CASES[case]
+        got = catalog_payload(tmp_path / "catalog.xml", written, root_decls, wrapper_decls)
+        assert got == expected
+
+    def test_envelope_default_namespace_declared_on_the_payload(self):
+        assert payload_of(records_page("<foo><bar/></foo>")) == (
+            f'<foo xmlns="{LIST_RECORDS_NS}"><bar/></foo>')
+
+    def test_entity_declarations_refused(self, tmp_path):
+        doctype = '<!DOCTYPE x [<!ENTITY e "text">]>\n'
+        page = records_page('<a xmlns="urn:a">&e;</a>').replace("\n", "\n" + doctype, 1)
+        with pytest.raises(ParseError):
+            parse_list_response(page, OaiVerb.LIST_RECORDS)
+        external = page.replace(doctype, '<!DOCTYPE x SYSTEM "x.dtd">\n')
+        with pytest.raises(ParseError):
+            parse_list_response(external, OaiVerb.LIST_RECORDS)
+        path = tmp_path / "catalog.xml"
+        catalog_file(path, '<a xmlns="urn:a">&e;</a>')
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n" + doctype.encode(), 1))
+        with pytest.raises(ParseError):
+            FileStore(str(path))
+
+    def test_fixture_payloads_read_back_verbatim(self, tmp_path):
+        store = fixture_store()
+        held = [(item, prefix, payload) for item in store.items()
+                for prefix, payload in item.payloads]
+        assert len(held) == 3
+        records = [MetadataRecord(item.header(), payload) for item, _, payload in held]
+        doc = render_envelope(make_envelope(OaiVerb.LIST_RECORDS, records))
+        parsed = parse_list_response(doc, OaiVerb.LIST_RECORDS).items
+        assert [r.metadata for r in parsed] == [payload for _, _, payload in held]
+        path = tmp_path / "catalog.xml"
+        path.write_text(render_catalog(store), encoding="utf-8")
+        loaded = FileStore(str(path))
+        assert [loaded.get_item(item.identifier).payload(prefix) for item, prefix, _ in held] == [
+            payload for _, _, payload in held
+        ]
+
+    def test_parse_and_load_leave_no_garbage_cycles(self, tmp_path):
+        path = tmp_path / "catalog.xml"
+        path.write_text(render_catalog(fixture_store()), encoding="utf-8")
+        records = [MetadataRecord(i.header(), i.payload("oai_dc")) for i in fixture_store().items()]
+        doc = render_envelope(make_envelope(OaiVerb.LIST_RECORDS, records))
+        gc.collect()
+        gc.disable()
+        try:
+            parse_list_response(doc, OaiVerb.LIST_RECORDS)
+            FileStore(str(path))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# payload trees for the property below: elements and attributes in the
+# default namespace or under prefixes p and q, each declared on the payload,
+# on <metadata> or on the envelope (where the default is the OAI namespace)
+PREFIXES = ("", "p", "q")
+cut_text = st.text(alphabet="x <&>\"'é😀\n", max_size=4)
+
+
+@st.composite
+def payload_pages(draw):
+    places = {p: draw(st.sampled_from(["payload", "metadata", "envelope"])) for p in PREFIXES}
+
+    def decl(prefix, uri):
+        return f" xmlns:{prefix}={quoteattr(uri)}" if prefix else f" xmlns={quoteattr(uri)}"
+
+    def decls(place):
+        return "".join(decl(p, f"urn:{p or 'd'}") for p in PREFIXES
+                       if places[p] == place and not (p == "" and place == "envelope"))
+
+    def element(depth, root=False):
+        prefix = draw(st.sampled_from(PREFIXES))
+        name = (prefix + ":" if prefix else "") + draw(st.sampled_from("abc"))
+        attrs = draw(st.dictionaries(
+            st.tuples(st.sampled_from(PREFIXES + ("xml",)), st.sampled_from("xy")),
+            cut_text, max_size=3))
+        tag = name + (decls("payload") if root else "")
+        if not root and draw(st.booleans()):  # rebind p below here
+            tag += decl("p", "urn:p2")
+        tag += "".join(f" {p + ':' if p else ''}{n}={quoteattr(v)}" for (p, n), v in attrs.items())
+        children = draw(st.integers(0, 2 if depth < 3 else 0))
+        if not children and draw(st.booleans()):
+            return f"<{tag}/>"
+        body = escape(draw(cut_text)) + "".join(
+            element(depth + 1) + escape(draw(cut_text)) for _ in range(children))
+        return f"<{tag}>{body}</{name}>"
+
+    return records_page(element(1, root=True), decls("envelope"), decls("metadata"))
+
+
+class TestCutProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(payload_pages())
+    def test_cut_alone_equals_element_in_document(self, page):
+        cut = payload_of(page)
+        # the first element in <metadata>, which is record's second child
+        element = ET.fromstring(page)[2][1][0]
+        reference = ET.tostring(element, encoding="unicode")
+        assert ET.canonicalize(xml_data=cut, rewrite_prefixes=True) == ET.canonicalize(
+            xml_data=reference, rewrite_prefixes=True)
+
 
 
 # -- randomized round-trip --------------------------------------------------
