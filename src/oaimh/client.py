@@ -19,7 +19,11 @@ from .request import encode_request
 
 logger = logging.getLogger("oaimh.client")
 
+USER_AGENT = "oaimh-harvest/0.1"
 DEFAULT_RETRY_SECONDS = 60
+#: 503 waits and 302 hops one request may take before it gives up.
+MAX_RETRIES = 5
+MAX_REDIRECTS = 5
 
 #: Connect and read timeout of `http_transport`, in seconds; a provider that
 #: stops answering surfaces as ConnectionFailed instead of a hang.
@@ -51,15 +55,10 @@ class HttpError(TransportError):
 
 @dataclass(frozen=True)
 class ClientConfig:
-    """Harvesting identity and limits; refuses to run anonymously."""
+    """Harvesting identity and HTTP method; refuses to run anonymously."""
 
     contact_email: str
-    user_agent: str = "oaimh-harvest/0.1"
     method: str = "POST"
-    default_retry_seconds: int = DEFAULT_RETRY_SECONDS
-    max_retries: int = 5
-    max_redirects: int = 5
-    verbose: bool = False
 
     def __post_init__(self):
         if not self.contact_email:
@@ -102,16 +101,16 @@ def http_transport(url: str, method: str, payload: str, headers: dict) -> tuple[
     return resp.status, resp_headers, data
 
 
-def _retry_seconds(value: Optional[str], default: int) -> int:
+def _retry_seconds(value: Optional[str]) -> int:
     if value is None:
         logger.warning("503 without Retry-After (data-provider error), using default")
-        return default
+        return DEFAULT_RETRY_SECONDS
     try:
         return max(1, int(value))
     except ValueError:
         # HTTP-date form is out of scope; treat as absent
         logger.warning("unparseable Retry-After %r, using default", value)
-        return default
+        return DEFAULT_RETRY_SECONDS
 
 
 def oai_get(
@@ -124,43 +123,39 @@ def oai_get(
     """Issue one protocol request and return the final 200 body.
 
     Flow control: each 503 waits the advertised Retry-After (bounded by
-    max_retries in total); each 302 re-issues to the Location URL, preserving
-    verb, arguments and method, bounded by max_redirects.
+    MAX_RETRIES in total); each 302 re-issues to the Location URL, preserving
+    verb, arguments and method, bounded by MAX_REDIRECTS. Each step is logged
+    at INFO on the `oaimh.client` logger.
     """
     clock = clock or SystemClock()
     payload = encode_request(req)
-    headers = {"From": cfg.contact_email, "User-Agent": cfg.user_agent}
+    headers = {"From": cfg.contact_email, "User-Agent": USER_AGENT}
     url = base_url
     retries = 0
     redirects = 0
     while True:
-        if cfg.verbose:
-            logger.info("Doing %s to %s args: %s", cfg.method, url, payload)
+        logger.info("Doing %s to %s args: %s", cfg.method, url, payload)
         status, resp_headers, body = transport(url, cfg.method, payload, headers)
         if status == 200:
-            if cfg.verbose:
-                logger.info("Got 200 OK (%dbytes)", len(body))
+            logger.info("Got 200 OK (%dbytes)", len(body))
             return body
         if status == 503:
-            if retries >= cfg.max_retries:
+            if retries >= MAX_RETRIES:
                 raise RetriesExhausted(f"gave up after {retries} retries")
             retries += 1
-            wait = _retry_seconds(resp_headers.get("retry-after"), cfg.default_retry_seconds)
-            if cfg.verbose:
-                logger.info("Got 503, sleeping for %d seconds...", wait)
+            wait = _retry_seconds(resp_headers.get("retry-after"))
+            logger.info("Got 503, sleeping for %d seconds...", wait)
             clock.sleep(wait)
-            if cfg.verbose:
-                logger.info("Woken again, retrying...")
+            logger.info("Woken again, retrying...")
             continue
         if status == 302:
-            if redirects >= cfg.max_redirects:
+            if redirects >= MAX_REDIRECTS:
                 raise RedirectLoop(f"gave up after {redirects} redirects")
             redirects += 1
             location = resp_headers.get("location")
             if not location:
                 raise HttpError(status, body)
             url = urllib.parse.urljoin(url, location).split("?")[0]
-            if cfg.verbose:
-                logger.info("Got 302, redirecting to %s", location)
+            logger.info("Got 302, redirecting to %s", location)
             continue
         raise HttpError(status, body)

@@ -219,12 +219,8 @@ def _merge_record(catalog, record, prefix, descriptor, report):
     header = record.header
     if header.datestamp is None:
         raise ParseError(f"record {header.identifier} has no datestamp")
-    if header.deleted:
-        payloads = ()
-    elif record.metadata is not None:
-        payloads = ((prefix, record.metadata),)
-    else:
-        payloads = ()
+    # a deleted record carries no metadata
+    payloads = () if record.metadata is None else ((prefix, record.metadata),)
     new_item = StoredItem(header.identifier, header.datestamp, header.deleted, payloads)
 
     try:
@@ -262,12 +258,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--get", action="store_true", help="use HTTP GET instead of POST")
     parser.add_argument("--merge", metavar="CATALOG",
                         help="after a ListRecords harvest, merge pages into this catalog file")
-    parser.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument("-v", "--verbose", action="store_true", help="log each HTTP request")
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
-    if not args.verbose:
-        logging.getLogger("oaimh.client").setLevel(logging.WARNING)
+    logging.getLogger("oaimh.client").setLevel(logging.INFO if args.verbose else logging.WARNING)
 
     if not args.email:
         parser.error("a contact email is required (--email or OAI_CONTACT_EMAIL)")
@@ -285,7 +280,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = ClientConfig(
             contact_email=args.email,
             method="GET" if args.get else "POST",
-            verbose=args.verbose,
         )
         outcome = run_harvest(plan, cfg)
         if args.merge:

@@ -7,6 +7,7 @@ on the invariants enforced at construction time.
 from __future__ import annotations
 
 import datetime as _dt
+import pyexpat  # the C module that xml.parsers.expat re-exports
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +18,10 @@ DC_SCHEMA_URL = "http://www.openarchives.org/OAI/dc.xsd"
 
 class MalformedDate(ValueError):
     """Raised when a string is not a canonical YYYY-MM-DD calendar date."""
+
+
+class MalformedPayload(ValueError):
+    """Raised when a payload or description block could not be written out as it is."""
 
 
 class OaiVerb(str, Enum):
@@ -30,25 +35,8 @@ class OaiVerb(str, Enum):
 
 _DATESTAMP_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 
-
-@dataclass(frozen=True, order=True)
-class Datestamp:
-    """A day-granularity date; canonical text form is zero-padded YYYY-MM-DD.
-
-    Field order gives calendar ordering via the generated comparisons, which
-    agrees with lexicographic ordering of the canonical form.
-    """
-
-    year: int
-    month: int
-    day: int
-
-    def __post_init__(self):
-        # datetime.date validates month/day ranges including leap years
-        _dt.date(self.year, self.month, self.day)
-
-    def __str__(self) -> str:
-        return "%04d-%02d-%02d" % (self.year, self.month, self.day)
+#: A day; `str()` gives its canonical YYYY-MM-DD form, which sorts in calendar order.
+Datestamp = _dt.date
 
 
 def datestamp_parse(text: str) -> Datestamp:
@@ -56,9 +44,8 @@ def datestamp_parse(text: str) -> Datestamp:
     m = _DATESTAMP_RE.match(text)
     if not m:
         raise MalformedDate(f"not a YYYY-MM-DD date: {text!r}")
-    year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3))
     try:
-        return Datestamp(year, month, day)
+        return Datestamp(int(m.group(1)), int(m.group(2)), int(m.group(3)))
     except ValueError:
         raise MalformedDate(f"no such calendar date: {text!r}") from None
 
@@ -109,9 +96,7 @@ class ResponseDate:
         """Timestamp for an absolute instant, rendered in the given fixed zone."""
         t = _dt.datetime.fromtimestamp(epoch_seconds, _dt.timezone.utc)
         t += _dt.timedelta(minutes=utc_offset_minutes)
-        return cls(
-            Datestamp(t.year, t.month, t.day), t.hour, t.minute, t.second, utc_offset_minutes
-        )
+        return cls(t.date(), t.hour, t.minute, t.second, utc_offset_minutes)
 
 
 @dataclass(frozen=True)
@@ -139,6 +124,51 @@ class RecordHeader:
     identifier: ItemIdentifier
     datestamp: Optional[Datestamp] = None
     deleted: bool = False
+
+
+class _MiscSeen(Exception):
+    pass
+
+
+def _misc_seen(*_) -> None:
+    raise _MiscSeen
+
+
+def _refuse_prolog(*_) -> None:
+    raise MalformedPayload("an XML or DOCTYPE declaration would land inside a document")
+
+
+def _parse_payload(text: str, misc, start=None, end=None) -> None:
+    parser = pyexpat.ParserCreate(namespace_separator=" ")
+    # an unbound prefix or a declaration would make the envelope unreadable
+    parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = _refuse_prolog
+    parser.CommentHandler = parser.ProcessingInstructionHandler = misc
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    try:
+        parser.Parse(text, True)
+    except pyexpat.ExpatError as exc:
+        raise MalformedPayload(f"not well-formed XML: {exc}") from None
+
+
+def check_payload(text: str) -> None:
+    """Refuse text that is not one well-formed, namespace-well-formed XML
+    element with only whitespace around it. Payloads and description blocks
+    are written out as held: each is checked once, on entry, never when served.
+    """
+    try:
+        _parse_payload(text, _misc_seen)
+        return
+    except _MiscSeen:
+        pass
+    # comments and processing instructions are rare: parse again to refuse one
+    # outside the element, which a harvester's cut of the element would lose
+    opened: list[None] = []
+
+    def misc(*_) -> None:
+        if not opened:
+            raise MalformedPayload("a comment or processing instruction outside the element")
+
+    _parse_payload(text, misc, lambda *_: opened.append(None), lambda _: opened.pop())
 
 
 @dataclass(frozen=True)
@@ -190,6 +220,8 @@ class RepositoryDescription:
             raise ValueError("protocol version is fixed at 1.0")
         if not self.admin_emails:
             raise ValueError("at least one admin email is required")
+        for block in self.descriptions:
+            check_payload(block)
 
 
 @dataclass(frozen=True)

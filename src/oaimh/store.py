@@ -22,6 +22,7 @@ from .model import (
     ItemIdentifier,
     MetadataFormatDescriptor,
     RecordHeader,
+    check_payload,
     datestamp_parse,
 )
 from .wire import read_xml
@@ -40,7 +41,8 @@ class StoredItem:
     """One item: identifier, datestamp of last modification, payloads by prefix.
 
     Deleted items keep the datestamp of their deletion so incremental
-    harvesters learn of deletions; they carry no payloads.
+    harvesters learn of deletions; they carry no payloads. Every route into a
+    store builds one, so each payload is checked here, once.
     """
 
     identifier: ItemIdentifier
@@ -51,6 +53,8 @@ class StoredItem:
     def __post_init__(self):
         if self.deleted and self.payloads:
             raise ValueError("deleted items cannot carry payloads")
+        for _, fragment in self.payloads:
+            check_payload(fragment)
 
     def payload(self, prefix: str) -> Optional[str]:
         for p, fragment in self.payloads:
@@ -128,12 +132,8 @@ class MemoryStore:
                 hi = min(hi, lo + limit)
             return [self._items[identifier] for _, identifier in index[lo:hi]]
 
-    def formats_for(
-        self, identifier: Optional[ItemIdentifier] = None
-    ) -> list[MetadataFormatDescriptor]:
-        """Formats for one item (catalog order), or the full catalog list."""
-        if identifier is None:
-            return self.formats
+    def formats_for(self, identifier: ItemIdentifier) -> list[MetadataFormatDescriptor]:
+        """Formats for one item, in catalog order."""
         prefixes = set(self.get_item(identifier).prefixes())
         return [fmt for fmt in self._formats if fmt.prefix in prefixes]
 

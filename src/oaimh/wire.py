@@ -63,24 +63,9 @@ class ParsedListResponse:
     token: Optional[ResumptionToken]
 
 
-def _refuse_prolog(*args) -> None:
-    raise SerializationError("metadata payload has an XML or DOCTYPE declaration")
-
-
-def _check_fragment(fragment: str) -> None:
-    # namespace-aware: a payload with an unbound prefix would make the envelope
-    # unreadable, and so would a declaration written inside it
-    parser = pyexpat.ParserCreate(namespace_separator=" ")
-    parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = _refuse_prolog
-    try:
-        parser.Parse(fragment, True)
-    except pyexpat.ExpatError as exc:
-        raise SerializationError(f"metadata payload is not well-formed XML: {exc}") from None
-
-
-def render_record(rec: MetadataRecord, indent: str = "") -> str:
+def render_record(rec: MetadataRecord, indent: str) -> str:
     """Render a <record> fragment: header, then metadata iff a payload exists,
-    written exactly as held."""
+    written exactly as held (stores check payloads when they take them)."""
     header = rec.header
     status = ' status="deleted"' if header.deleted else ""
     lines = [f"{indent}<record>", f"{indent} <header>"]
@@ -91,7 +76,6 @@ def render_record(rec: MetadataRecord, indent: str = "") -> str:
         lines.append(f"{indent}  <datestamp>{header.datestamp}</datestamp>")
     lines.append(f"{indent} </header>")
     if rec.metadata is not None:
-        _check_fragment(rec.metadata)
         lines.append(f"{indent} <metadata>")
         lines.append(rec.metadata)
         lines.append(f"{indent} </metadata>")
@@ -119,15 +103,8 @@ def _render_repository(repo: RepositoryDescription, indent: str) -> list[str]:
     ]
     for email in repo.admin_emails:
         lines.append(f"{indent}<adminEmail>{escape(email)}</adminEmail>")
-    for block in repo.descriptions:
-        _check_fragment(block)
-        lines.append(block)
+    lines.extend(repo.descriptions)
     return lines
-
-
-def _render_header_as_identifier(header: RecordHeader, indent: str) -> list[str]:
-    status = ' status="deleted"' if header.deleted else ""
-    return [f"{indent}<identifier{status}>{escape(header.identifier.value)}</identifier>"]
 
 
 def render_envelope(env: ResponseEnvelope) -> str:
@@ -150,7 +127,8 @@ def render_envelope(env: ResponseEnvelope) -> str:
         elif isinstance(item, MetadataRecord):
             lines.append(render_record(item, " "))
         elif isinstance(item, RecordHeader):
-            lines.extend(_render_header_as_identifier(item, " "))
+            status = ' status="deleted"' if item.deleted else ""
+            lines.append(f" <identifier{status}>{escape(item.identifier.value)}</identifier>")
         elif isinstance(item, MetadataFormatDescriptor):
             lines.extend(_render_format(item, " "))
         else:

@@ -1,4 +1,4 @@
-"""Shared test fakes: a virtual clock and an in-process HTTP transport."""
+"""Shared test fakes (a virtual clock, an in-process HTTP transport) and test data."""
 
 from __future__ import annotations
 
@@ -18,8 +18,22 @@ EPOCH_2001_06_05 = dt.datetime(2001, 6, 5, 12, 0, 0, tzinfo=dt.timezone.utc).tim
 
 
 def days_after(day: Datestamp, days: int) -> Datestamp:
-    d = dt.date(day.year, day.month, day.day) + dt.timedelta(days=days)
-    return Datestamp(d.year, d.month, d.day)
+    return day + dt.timedelta(days=days)
+
+
+# payloads and description blocks every store and repository description refuses
+MALFORMED_PAYLOADS = [
+    "<broken",
+    "<a/><b/>",
+    "bare text",
+    "<oai_dc><dc:title>x</dc:title></oai_dc>",  # unbound prefix
+    # a declaration would land in the middle of the envelope
+    '<?xml version="1.0"?><a xmlns="urn:a"/>',
+    "<!DOCTYPE a><a/>",
+    # a harvester's cut keeps the element only, so these would not come back
+    '<!-- lead --><a xmlns="urn:a"/>',
+    '<a xmlns="urn:a"/><?pi x?>',
+]
 
 
 class FakeClock:

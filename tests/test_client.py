@@ -67,7 +67,7 @@ def test_503_without_retry_after_uses_default():
     clock = FakeClock(0)
     server = ScriptedServer(clock, [(503, {}, ""), (200, {}, "<ok/>")])
     oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
-    assert clock.sleeps == [CFG.default_retry_seconds]
+    assert clock.sleeps == [client.DEFAULT_RETRY_SECONDS]
 
 
 def test_retry_after_http_date_treated_as_absent():
@@ -76,16 +76,16 @@ def test_retry_after_http_date_treated_as_absent():
         clock, [(503, {"retry-after": "Fri, 31 Dec 1999 23:59:59 GMT"}, ""), (200, {}, "<ok/>")]
     )
     oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
-    assert clock.sleeps == [CFG.default_retry_seconds]
+    assert clock.sleeps == [client.DEFAULT_RETRY_SECONDS]
 
 
 def test_retries_exhausted():
     clock = FakeClock(0)
-    script = [(503, {"retry-after": "1"}, "")] * (CFG.max_retries + 1)
+    script = [(503, {"retry-after": "1"}, "")] * (client.MAX_RETRIES + 1)
     server = ScriptedServer(clock, script)
     with pytest.raises(RetriesExhausted):
         oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
-    assert len(server.requests) == CFG.max_retries + 1
+    assert len(server.requests) == client.MAX_RETRIES + 1
 
 
 def test_302_follows_location():
@@ -112,7 +112,7 @@ def test_redirect_preserves_method_and_arguments():
 
 def test_redirect_loop_bounded():
     clock = FakeClock(0)
-    script = [(302, {"location": "http://next/oai"}, "")] * (CFG.max_redirects + 1)
+    script = [(302, {"location": "http://next/oai"}, "")] * (client.MAX_REDIRECTS + 1)
     server = ScriptedServer(clock, script)
     with pytest.raises(RedirectLoop):
         oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
@@ -133,7 +133,7 @@ def test_total_requests_bounded():
     server = ScriptedServer(clock, script)
     with pytest.raises(RetriesExhausted):
         oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
-    assert len(server.requests) <= 1 + CFG.max_retries + CFG.max_redirects
+    assert len(server.requests) <= 1 + client.MAX_RETRIES + client.MAX_REDIRECTS
 
 
 def test_anonymous_config_rejected():

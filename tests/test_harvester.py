@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import re
 import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
@@ -62,6 +64,33 @@ class TestExtractFromDate:
             run_harvest, clock=network.clock, transport=network.transport))
         argv = [BASE_URL, "-d", str(tmp_path), "-i", str(prev), "--email", "t@example.org"]
         assert harvester.main(argv) == EXIT_FAILED
+
+
+class TestVerboseFlag:
+    @pytest.mark.parametrize("flags", [[], ["-v"]])
+    def test_client_lines_only_with_v(self, network, tmp_path, monkeypatch, caplog, flags):
+        monkeypatch.setattr(harvester, "run_harvest", partial(
+            run_harvest, clock=network.clock, transport=network.transport))
+        # set (and restored after the test) here; main sets the client level itself
+        caplog.set_level(logging.INFO)
+        caplog.set_level(logging.INFO, logger="oaimh.client")
+        argv = [BASE_URL, "-d", str(tmp_path), "--email", "t@example.org", *flags]
+        assert harvester.main(argv) == 0
+        client = [re.sub(r"\d+bytes", "Nbytes", r.getMessage())
+                  for r in caplog.records if r.name == "oaimh.client"]
+        assert client == ([] if not flags else [
+            f"Doing POST to {BASE_URL} args: verb=Identify",
+            "Got 200 OK (Nbytes)",
+            f"Doing POST to {BASE_URL} args: verb=ListIdentifiers",
+            "Got 200 OK (Nbytes)",
+        ])
+        assert [r.getMessage() for r in caplog.records if r.name == "oaimh.harvester"] == [
+            f"Harvest from {BASE_URL} using POST",
+            "Doing complete harvest.",
+            "Got 3 identifiers (running total: 3)",
+            "No resumptionToken, request complete.",
+            "Done.",
+        ]
 
 
 class TestHarvestScenario:

@@ -6,6 +6,7 @@ from oaimh.model import (
     Datestamp,
     ItemIdentifier,
     MalformedDate,
+    MalformedPayload,
     MetadataFormatDescriptor,
     MetadataRecord,
     OaiVerb,
@@ -16,7 +17,9 @@ from oaimh.model import (
     datestamp_parse,
 )
 
-dates = st.dates().map(lambda d: Datestamp(d.year, d.month, d.day))
+from conftest import MALFORMED_PAYLOADS
+
+dates = st.dates()
 
 
 class TestDatestamp:
@@ -119,6 +122,12 @@ class TestInvariants:
             RepositoryDescription("r", "http://x", ())
         with pytest.raises(ValueError):
             RepositoryDescription("r", "http://x", ("a@b",), protocol_version="2.0")
+
+    @pytest.mark.parametrize("block", MALFORMED_PAYLOADS)
+    def test_malformed_description_block_rejected(self, block):
+        good = '<d xmlns="urn:d"/>'
+        with pytest.raises(MalformedPayload):
+            RepositoryDescription("r", "http://x", ("a@b",), descriptions=(good, block))
 
     def test_resumption_token_non_empty(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
+import pyexpat
 import random
 import urllib.parse
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from oaimh.model import Datestamp, ItemIdentifier, OaiVerb
+from oaimh.model import Datestamp, ItemIdentifier, OaiVerb, RepositoryDescription
 from oaimh.provider import (
     THROTTLE_SWEEP_MIN,
     BadResumptionToken,
@@ -16,7 +17,7 @@ from oaimh.request import parse_request, validate_request
 from oaimh.store import DC_FORMAT, FileStore, MemoryStore, StoredItem, dc_payload, render_catalog
 from oaimh.wire import parse_list_response
 
-from conftest import EPOCH_2001_06_05, make_provider
+from conftest import BASE_URL, EPOCH_2001_06_05, make_provider
 from test_store import random_store
 
 NOW = EPOCH_2001_06_05
@@ -92,6 +93,48 @@ class TestPayloadText:
         (record,) = parsed(provider, raw, verb).items
         title = ET.fromstring(record.metadata).find("{http://purl.org/dc/elements/1.1/}title")
         assert title.text == "line one\nline two"
+
+    def test_serving_parses_nothing(self, monkeypatch):
+        # payloads and description blocks are checked when the store and the
+        # repository description take them, so answering creates no XML parser
+        store = MemoryStore([DC_FORMAT], [
+            StoredItem(ItemIdentifier(f"r{n:03d}"), Datestamp(2000, 1, 1),
+                       payloads=(("oai_dc", dc_payload(f"Item {n}", "A")),))
+            for n in range(100)
+        ])
+        block = '<ex:description xmlns:ex="urn:example"><ex:note>x</ex:note></ex:description>'
+        repository = RepositoryDescription("R", BASE_URL, ("a@b.org",), descriptions=(block,))
+        provider = make_provider(store=store, repository=repository, page_size=100)
+        created = []
+        create = pyexpat.ParserCreate
+
+        def counting(*args, **kwargs):
+            created.append(args)
+            return create(*args, **kwargs)
+
+        monkeypatch.setattr(pyexpat, "ParserCreate", counting)
+        bodies = [dispatch(provider, raw) for raw in (
+            "verb=ListRecords&metadataPrefix=oai_dc",
+            "verb=GetRecord&identifier=r042&metadataPrefix=oai_dc",
+            "verb=Identify",
+        )]
+        monkeypatch.undo()
+        assert created == []
+        assert [resp.status for resp in bodies] == [200, 200, 200]
+        page = parse_list_response(bodies[0].body, OaiVerb.LIST_RECORDS)
+        assert len(page.items) == 100 and page.token is None
+        (record,) = parse_list_response(bodies[1].body, OaiVerb.GET_RECORD).items
+        assert record.metadata == store.get_item(ItemIdentifier("r042")).payload("oai_dc")
+        (repo,) = parse_list_response(bodies[2].body, OaiVerb.IDENTIFY).items
+        assert repo.descriptions == (block,)
+
+    def test_comment_inside_payload_round_trips(self):
+        payload = '<a xmlns="urn:a"><!-- note --><?pi x?>\n <b>x</b></a>'
+        item = StoredItem(ItemIdentifier("c"), Datestamp(2000, 1, 1), payloads=(("oai_dc", payload),))
+        provider = make_provider(store=MemoryStore([DC_FORMAT], [item]))
+        raw = "verb=GetRecord&identifier=c&metadataPrefix=oai_dc"
+        (record,) = parsed(provider, raw, OaiVerb.GET_RECORD).items
+        assert record.metadata == payload
 
 
 class TestThrottleCheck:

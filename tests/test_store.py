@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oaimh.model import Datestamp, ItemIdentifier, MetadataFormatDescriptor
+from oaimh.model import Datestamp, ItemIdentifier, MalformedPayload, MetadataFormatDescriptor
 from oaimh.store import (
     DC_FORMAT,
     FileStore,
@@ -16,7 +16,7 @@ from oaimh.store import (
     render_catalog,
 )
 
-from conftest import days_after
+from conftest import MALFORMED_PAYLOADS, days_after
 
 RECORD4 = StoredItem(
     ItemIdentifier("record4"),
@@ -122,7 +122,7 @@ class TestFormatsFor:
         ]
 
     def test_whole_repository(self, store):
-        assert [f.prefix for f in store.formats_for()] == ["wibble", "oai_dc"]
+        assert [f.prefix for f in store.formats] == ["wibble", "oai_dc"]
 
     def test_deleted_item_has_none(self, store):
         assert store.formats_for(ItemIdentifier("record3")) == []
@@ -162,6 +162,34 @@ class TestUpsert:
                 ItemIdentifier("r"), Datestamp(2001, 1, 1), deleted=True,
                 payloads=(("oai_dc", "<x/>"),),
             )
+
+
+def item_with(payload):
+    return StoredItem(ItemIdentifier("x"), Datestamp(2000, 1, 1), payloads=(("oai_dc", payload),))
+
+
+# every route into a store: the item itself, a store built from items, an upsert
+ROUTES_IN = {
+    "StoredItem": item_with,
+    "MemoryStore": lambda payload: MemoryStore([DC_FORMAT], [item_with(payload)]),
+    "upsert_item": lambda payload: fixture_store().upsert_item(item_with(payload)),
+}
+
+
+class TestPayloadCheckedOnEntry:
+    @pytest.mark.parametrize("route", ROUTES_IN)
+    @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+    def test_malformed_payload_rejected(self, route, payload):
+        with pytest.raises(MalformedPayload):
+            ROUTES_IN[route](payload)
+
+    @pytest.mark.parametrize("payload", [
+        '<a xmlns="urn:a"><!-- inside --><?pi x?></a>',
+        '\n <a xmlns="urn:a"/>\n',
+        '<a xmlns="urn:a"><b/><!--c--></a>',
+    ])
+    def test_comments_inside_and_space_around_accepted(self, payload):
+        assert item_with(payload).payload("oai_dc") == payload
 
 
 def random_store(rng, size):
