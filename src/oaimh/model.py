@@ -33,7 +33,8 @@ class OaiVerb(str, Enum):
     LIST_METADATA_FORMATS = "ListMetadataFormats"
 
 
-_DATESTAMP_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
+# fullmatch, and [0-9] rather than \d, which also matches non-ASCII digits
+_DATESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 #: A day; `str()` gives its canonical YYYY-MM-DD form, which sorts in calendar order.
 Datestamp = _dt.date
@@ -41,17 +42,17 @@ Datestamp = _dt.date
 
 def datestamp_parse(text: str) -> Datestamp:
     """Parse a canonical YYYY-MM-DD string; anything else is MalformedDate."""
-    m = _DATESTAMP_RE.match(text)
-    if not m:
+    if not _DATESTAMP_RE.fullmatch(text):
         raise MalformedDate(f"not a YYYY-MM-DD date: {text!r}")
     try:
-        return Datestamp(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        # the pattern admits only what fromisoformat reads as YYYY-MM-DD
+        return Datestamp.fromisoformat(text)
     except ValueError:
         raise MalformedDate(f"no such calendar date: {text!r}") from None
 
 
 _RESPONSE_DATE_RE = re.compile(
-    r"^(\d{4}-\d{2}-\d{2})T(\d{2}):(\d{2}):(\d{2})([+-])(\d{2}):(\d{2})$"
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})([+-])([0-9]{2}):([0-9]{2})"
 )
 
 
@@ -82,7 +83,7 @@ class ResponseDate:
 
     @classmethod
     def parse(cls, text: str) -> "ResponseDate":
-        m = _RESPONSE_DATE_RE.match(text)
+        m = _RESPONSE_DATE_RE.fullmatch(text)
         if not m:
             raise MalformedDate(f"not a YYYY-MM-DDThh:mm:ss±hh:mm timestamp: {text!r}")
         date = datestamp_parse(m.group(1))
@@ -150,11 +151,21 @@ def _parse_payload(text: str, misc, start=None, end=None) -> None:
         raise MalformedPayload(f"not well-formed XML: {exc}") from None
 
 
+class Payload(str):
+    """The source text of one element, cut out by `wire.read_xml` from a
+    document it parsed whole. That parse is its check: `check_payload` passes
+    it without parsing it again. Nothing else makes one."""
+
+    __slots__ = ()
+
+
 def check_payload(text: str) -> None:
     """Refuse text that is not one well-formed, namespace-well-formed XML
     element with only whitespace around it. Payloads and description blocks
     are written out as held: each is checked once, on entry, never when served.
     """
+    if isinstance(text, Payload):
+        return
     try:
         _parse_payload(text, _misc_seen)
         return

@@ -10,6 +10,7 @@ torn state.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .model import (
     check_payload,
     datestamp_parse,
 )
-from .wire import read_xml
+from .wire import ParseError, read_xml
 
 
 class NotFound(KeyError):
@@ -88,7 +89,8 @@ class MemoryStore:
         for item in items:
             for prefix, _ in item.payloads:
                 if prefix not in known:
-                    raise UnknownFormat(f"no descriptor for payload prefix {prefix!r}")
+                    raise UnknownFormat(
+                        f"item {item.identifier.value!r}: no descriptor for payload prefix {prefix!r}")
             self._items[item.identifier.value] = item
         self._index = sorted((str(item.datestamp), key) for key, item in self._items.items())
 
@@ -225,7 +227,10 @@ class FileStore(MemoryStore):
         items: list[StoredItem] = []
         if os.path.exists(path):
             formats, items = _load_catalog(path)
-        super().__init__(formats, items)
+        try:
+            super().__init__(formats, items)
+        except UnknownFormat as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     def save(self) -> None:
         tmp = self.path + ".tmp"
@@ -234,6 +239,15 @@ class FileStore(MemoryStore):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+
+
+# the characters quoteattr would replace, or that would change its quotes
+_ATTR_SPECIAL = re.compile('[&<>"\n\r\t]')
+
+
+def _quoteattr(value: str) -> str:
+    """quoteattr(value), without its work where it would change nothing."""
+    return quoteattr(value) if _ATTR_SPECIAL.search(value) else f'"{value}"'
 
 
 def render_catalog(store: MemoryStore) -> str:
@@ -246,10 +260,8 @@ def render_catalog(store: MemoryStore) -> str:
             f" <format prefix={quoteattr(fmt.prefix)} schema={quoteattr(fmt.schema_url)}{ns}/>"
         )
     for item in store.items():
-        attrs = (
-            f"identifier={quoteattr(item.identifier.value)}"
-            f" datestamp={quoteattr(str(item.datestamp))}"
-        )
+        # a datestamp is digits and hyphens, which quoteattr leaves as they are
+        attrs = f'identifier={_quoteattr(item.identifier.value)} datestamp="{item.datestamp}"'
         if item.deleted:
             attrs += ' deleted="true"'
         if not item.payloads:
@@ -259,7 +271,7 @@ def render_catalog(store: MemoryStore) -> str:
         for prefix, fragment in item.payloads:
             # fragments are embedded verbatim: re-indenting would add bytes to
             # their inner text nodes and break load/save round-trip stability
-            lines.append(f"  <payload prefix={quoteattr(prefix)}>")
+            lines.append(f"  <payload prefix={_quoteattr(prefix)}>")
             lines.append(fragment.strip())
             lines.append("  </payload>")
         lines.append(" </item>")
@@ -269,7 +281,8 @@ def render_catalog(store: MemoryStore) -> str:
 
 def _load_catalog(path: str) -> tuple[list[MetadataFormatDescriptor], list[StoredItem]]:
     """Formats and items from a catalog file; each payload is the first
-    element in its <payload>, taken as written."""
+    element in its <payload>, taken as written. A malformed file, format or
+    item is a ParseError."""
     formats: list[MetadataFormatDescriptor] = []
     items: list[StoredItem] = []
     item: dict[str, str] = {}  # attributes of the open <item>
@@ -280,9 +293,12 @@ def _load_catalog(path: str) -> tuple[list[MetadataFormatDescriptor], list[Store
         nonlocal item, prefix
         if depth == 1:
             if local == "format":
-                formats.append(MetadataFormatDescriptor(
-                    attrs.get("prefix"), attrs.get("schema"), attrs.get("namespace")
-                ))
+                try:
+                    formats.append(MetadataFormatDescriptor(
+                        attrs.get("prefix"), attrs.get("schema"), attrs.get("namespace")
+                    ))
+                except ValueError as exc:
+                    raise ParseError(f"{path}: format {attrs.get('prefix')!r}: {exc}") from None
             elif local == "item":
                 item = attrs
                 payloads.clear()
@@ -294,12 +310,16 @@ def _load_catalog(path: str) -> tuple[list[MetadataFormatDescriptor], list[Store
 
     def on_end(depth: int, local: str, text: str) -> None:
         if depth == 1 and local == "item":
-            items.append(StoredItem(
-                ItemIdentifier(item.get("identifier")),
-                datestamp_parse(item.get("datestamp")),
-                deleted=item.get("deleted") == "true",
-                payloads=tuple(payloads),
-            ))
+            identifier = item.get("identifier")
+            try:
+                items.append(StoredItem(
+                    ItemIdentifier(identifier),
+                    datestamp_parse(item.get("datestamp", "")),
+                    deleted=item.get("deleted") == "true",
+                    payloads=tuple(payloads),
+                ))
+            except ValueError as exc:
+                raise ParseError(f"{path}: item {identifier!r}: {exc}") from None
 
     def on_span(depth: int, text: str) -> None:
         nonlocal prefix

@@ -20,6 +20,7 @@ from .model import (
     MetadataFormatDescriptor,
     MetadataRecord,
     OaiVerb,
+    Payload,
     RecordHeader,
     RepositoryDescription,
     ResponseDate,
@@ -147,7 +148,12 @@ def _refuse_entities(*args) -> None:
     raise ParseError("only the predefined entities are supported: a cut element could not carry others")
 
 
-def _cut(data: bytes, start: int, end: int, inherited: dict[str, str]) -> str:
+def _refuse_namespace_defaults(element: str, name: str, kind, default, required) -> None:
+    if default is not None and (name == "xmlns" or name.startswith("xmlns:")):
+        raise ParseError(f"a DTD default declares a namespace on <{element}>: a cut element could not carry it")
+
+
+def _cut(data: bytes, start: int, end: int, inherited: dict[str, str]) -> Payload:
     """The source text of the element whose start tag begins at `start` and
     whose end event came at `end`, with `inherited` (prefix -> URI, "" for the
     default namespace) declared on its root."""
@@ -156,20 +162,20 @@ def _cut(data: bytes, start: int, end: int, inherited: dict[str, str]) -> str:
         # the end event of a non-empty element comes at its end tag
         end = data.index(b">", end) + 1
     if not inherited:
-        return data[start:end].decode("utf-8")
+        return Payload(data[start:end].decode("utf-8"))
     decls = "".join(
         f" xmlns:{prefix}={quoteattr(uri)}" if prefix else f" xmlns={quoteattr(uri)}"
         for prefix, uri in inherited.items()
     )
     split = tag.end(1)
-    return (data[start:split] + decls.encode("utf-8") + data[split:end]).decode("utf-8")
+    return Payload((data[start:split] + decls.encode("utf-8") + data[split:end]).decode("utf-8"))
 
 
 def read_xml(
     data: bytes,
     on_start: Callable[[int, str, dict[str, str]], bool],
     on_end: Callable[[int, str, str], None],
-    on_span: Callable[[int, str], None],
+    on_span: Callable[[int, Payload], None],
 ) -> None:
     """One namespace-aware pass over a UTF-8 document; the root has depth 0.
 
@@ -177,10 +183,12 @@ def read_xml(
     attributes keyed by local name. When it returns True the element is cut
     out: `on_span(depth, text)` gets its exact source text, with the namespace
     declarations it uses but inherits from an ancestor added to its root, and
-    its descendants send no events. `on_end(depth, local, text)` gets every
-    element not cut, with the character data after its last child tag (all its
-    text when it has no child elements). Malformed XML, and entities other than
-    the predefined ones, which a cut could not carry, raise ParseError.
+    its descendants send no events. This pass is the cut's check, so the text
+    is a `Payload`. `on_end(depth, local, text)` gets every element not cut,
+    with the character data after its last child tag (all its text when it
+    has no child elements). Malformed XML, and entities other than the
+    predefined ones or namespaces declared by DTD defaults, which a cut could
+    not carry, raise ParseError.
     """
     parser = pyexpat.ParserCreate("utf-8", " ")
     parser.namespace_prefixes = True  # names read "uri local prefix", "uri local" or "local"
@@ -205,28 +213,42 @@ def read_xml(
             names[name] = parsed = (parts[1], prefix, None if prefix == "xml" else parts[0])
         return parsed
 
+    # outside a cut: report elements and collect their text
     def start(name: str, attrs: dict[str, str]) -> None:
         nonlocal depth, cut_depth, cut_start, declared, inherited
-        level = depth
-        depth = level + 1
-        local, prefix, uri = names.get(name) or split(name)
-        if cut_depth < 0:
-            if chunks:
-                chunks.clear()
-            if attrs:
-                by_local = {(names.get(k) or split(k))[0]: v for k, v in attrs.items()}
-                cut = on_start(level, local, by_local)
-            else:
-                cut = on_start(level, local, attrs)
-            if not cut:
-                if pending:
-                    pending.clear()
-                return
-            cut_depth = level
-            cut_start = parser.CurrentByteIndex
-            declared = dict.fromkeys(pending, 1)
-            inherited = {}
-            pending.clear()
+        if chunks:
+            chunks.clear()
+        local = (names.get(name) or split(name))[0]
+        if attrs:
+            cut = on_start(depth, local, {(names.get(k) or split(k))[0]: v for k, v in attrs.items()})
+        else:
+            cut = on_start(depth, local, attrs)
+        if not cut:
+            depth += 1
+            if pending:
+                pending.clear()
+            return
+        cut_depth = depth
+        cut_start = parser.CurrentByteIndex
+        declared = dict.fromkeys(pending, 1)
+        inherited = {}
+        pending.clear()
+        parser.StartElementHandler, parser.EndElementHandler = start_inside, end_inside
+        parser.CharacterDataHandler = None
+        start_inside(name, attrs)
+
+    def end(name: str) -> None:
+        nonlocal depth
+        depth -= 1
+        text = "".join(chunks)
+        chunks.clear()
+        on_end(depth, names[name][0], text)
+
+    # inside a cut: only count depth and note the namespaces the cut inherits
+    def start_inside(name: str, attrs: dict[str, str]) -> None:
+        nonlocal depth
+        depth += 1
+        _, prefix, uri = names.get(name) or split(name)
         if uri is not None and not declared.get(prefix):
             inherited.setdefault(prefix, uri)
         for key in attrs:
@@ -234,16 +256,13 @@ def read_xml(
             if uri is not None and not declared.get(prefix):
                 inherited.setdefault(prefix, uri)
 
-    def end(name: str) -> None:
+    def end_inside(name: str) -> None:
         nonlocal depth, cut_depth
         depth -= 1
-        if cut_depth < 0:
-            text = "".join(chunks)
-            chunks.clear()
-            on_end(depth, names[name][0], text)
-        elif depth == cut_depth:
+        if depth == cut_depth:
             cut_depth = -1
-            chunks.clear()
+            parser.StartElementHandler, parser.EndElementHandler = start, end
+            parser.CharacterDataHandler = chunks.append
             on_span(depth, _cut(data, cut_start, parser.CurrentByteIndex, inherited))
 
     def start_namespace(prefix: Optional[str], uri: str) -> None:
@@ -263,13 +282,16 @@ def read_xml(
     parser.StartNamespaceDeclHandler = start_namespace
     parser.EndNamespaceDeclHandler = end_namespace
     parser.EntityDeclHandler = parser.SkippedEntityHandler = _refuse_entities
+    parser.AttlistDeclHandler = _refuse_namespace_defaults
     try:
         parser.Parse(data, True)
     except pyexpat.ExpatError as exc:
         raise ParseError(f"malformed XML: {exc}") from None
     finally:
-        # these handlers refer to the parser: break the cycle so refcounting frees both
+        # the handlers refer to the parser, and start and end_inside to each
+        # other: break both cycles so that refcounting frees them all
         parser.StartElementHandler = parser.EndElementHandler = None
+        start = None
 
 
 # top-level elements read as fields; any other is an opaque block (an

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
+import pyexpat
 
 import pytest
 
@@ -107,3 +109,25 @@ def network(clock, fixture_provider):
     net = FakeNetwork(clock)
     net.add(BASE_URL, fixture_provider)
     return net
+
+
+@pytest.fixture
+def parsers_made(monkeypatch):
+    """`with parsers_made() as made:` lists the arguments of each XML parser
+    created inside the block; both the wire reader and the payload check make
+    theirs through pyexpat.ParserCreate."""
+
+    @contextlib.contextmanager
+    def counting():
+        made: list[tuple] = []
+        create = pyexpat.ParserCreate
+
+        def counting_create(*args, **kwargs):
+            made.append(args)
+            return create(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pyexpat, "ParserCreate", counting_create)
+            yield made
+
+    return counting

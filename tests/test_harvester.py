@@ -22,6 +22,7 @@ from oaimh.store import DC_FORMAT, FileStore, MemoryStore, StoredItem, dc_payloa
 from oaimh.wire import ParseError
 
 from conftest import BASE_URL, FakeClock, FakeNetwork, make_provider
+from test_store import BAD_ITEMS, catalog_with
 
 CFG = ClientConfig(contact_email="tester@example.org")
 
@@ -245,6 +246,34 @@ class TestMerge:
         with pytest.raises(RuntimeError):
             merge_into_catalog(str(tmp_path / "h1"), str(catalog))
         assert catalog.read_text() == before
+
+    def test_merge_makes_one_parser_per_page_and_one_for_the_catalog(
+            self, clock, tmp_path, parsers_made):
+        net = FakeNetwork(clock)
+        net.add(BASE_URL, make_provider(page_size=1))
+        outcome = harvest(net, tmp_path / "h1", verb=OaiVerb.LIST_RECORDS)
+        catalog = tmp_path / "catalog.xml"
+        catalog.write_text(catalog_with('<item identifier="record2" datestamp="1990-01-01"/>'))
+        with parsers_made() as made:
+            report = merge_into_catalog(str(tmp_path / "h1"), str(catalog))
+        assert (report.added, report.updated) == (2, 1)
+        assert len(outcome.page_files) == 3
+        assert len(made) == 1 + len(outcome.page_files)
+
+    @pytest.mark.parametrize("case", ["no datestamp", "bad datestamp", "unknown prefix"])
+    def test_bad_catalog_item_fails_the_command(self, network, tmp_path, monkeypatch, caplog, case):
+        catalog = tmp_path / "catalog.xml"
+        catalog.write_text(catalog_with(BAD_ITEMS[case]))
+        before = catalog.read_bytes()
+        monkeypatch.setattr(harvester, "run_harvest", partial(
+            run_harvest, clock=network.clock, transport=network.transport))
+        (tmp_path / "h1").mkdir()
+        argv = [BASE_URL, "-d", str(tmp_path / "h1"), "--records", "--merge", str(catalog),
+                "--email", "t@example.org"]
+        assert harvester.main(argv) == EXIT_FAILED
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "'a'" in errors[0]
+        assert catalog.read_bytes() == before
 
     def test_overlap_refetch_not_duplicated(self, network, fixture_provider, tmp_path):
         self.records_harvest(network, tmp_path / "h1")

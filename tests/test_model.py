@@ -35,7 +35,8 @@ class TestDatestamp:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1999-02-12T00:00:00", "1999/02/12", "1999-13-01", "1999-02-30", "199x-02-12", "1999-02-012"],
+        ["", "1999-02-12T00:00:00", "1999/02/12", "1999-13-01", "1999-02-30", "199x-02-12", "1999-02-012",
+         "1999-02-12\n", "\u0661\u0669\u0669\u0669-02-12", "1999-02-\uff11\uff12"],
     )
     def test_rejects_non_canonical(self, text):
         with pytest.raises(MalformedDate):
@@ -77,6 +78,13 @@ class TestResponseDate:
     def test_round_trip(self, d, h, m, s, off):
         rd = ResponseDate(d, h, m, s, off)
         assert ResponseDate.parse(rd.render()) == rd
+
+    @pytest.mark.parametrize("text", [
+        "2001-05-05T12:27:36-06:00\n", "2001-05-05T12:27:36-06:0\u0660", "2001-05-05T12:27:36Z",
+    ])
+    def test_rejects_non_canonical(self, text):
+        with pytest.raises(MalformedDate):
+            ResponseDate.parse(text)
 
     def test_from_epoch_applies_fixed_offset(self):
         import datetime as dt

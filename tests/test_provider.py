@@ -1,4 +1,3 @@
-import pyexpat
 import random
 import urllib.parse
 import xml.etree.ElementTree as ET
@@ -50,6 +49,11 @@ class TestHandle:
         assert resp.content_type == "text/plain"
         assert resp.body.strip() == "No verb specified!"
 
+    @pytest.mark.parametrize("stamp", ["1999-02-12%0A", "%D9%A1999-02-12"])
+    def test_non_canonical_from_is_400(self, fixture_provider, stamp):
+        resp = dispatch(fixture_provider, f"verb=ListIdentifiers&from={stamp}")
+        assert resp.status == 400
+
     def test_throttled_second_request(self):
         provider = make_provider(
             throttle=ThrottlePolicy(min_interval_seconds=60, retry_after_seconds=60)
@@ -94,7 +98,7 @@ class TestPayloadText:
         title = ET.fromstring(record.metadata).find("{http://purl.org/dc/elements/1.1/}title")
         assert title.text == "line one\nline two"
 
-    def test_serving_parses_nothing(self, monkeypatch):
+    def test_serving_parses_nothing(self, parsers_made):
         # payloads and description blocks are checked when the store and the
         # repository description take them, so answering creates no XML parser
         store = MemoryStore([DC_FORMAT], [
@@ -105,21 +109,13 @@ class TestPayloadText:
         block = '<ex:description xmlns:ex="urn:example"><ex:note>x</ex:note></ex:description>'
         repository = RepositoryDescription("R", BASE_URL, ("a@b.org",), descriptions=(block,))
         provider = make_provider(store=store, repository=repository, page_size=100)
-        created = []
-        create = pyexpat.ParserCreate
-
-        def counting(*args, **kwargs):
-            created.append(args)
-            return create(*args, **kwargs)
-
-        monkeypatch.setattr(pyexpat, "ParserCreate", counting)
-        bodies = [dispatch(provider, raw) for raw in (
-            "verb=ListRecords&metadataPrefix=oai_dc",
-            "verb=GetRecord&identifier=r042&metadataPrefix=oai_dc",
-            "verb=Identify",
-        )]
-        monkeypatch.undo()
-        assert created == []
+        with parsers_made() as made:
+            bodies = [dispatch(provider, raw) for raw in (
+                "verb=ListRecords&metadataPrefix=oai_dc",
+                "verb=GetRecord&identifier=r042&metadataPrefix=oai_dc",
+                "verb=Identify",
+            )]
+        assert made == []
         assert [resp.status for resp in bodies] == [200, 200, 200]
         page = parse_list_response(bodies[0].body, OaiVerb.LIST_RECORDS)
         assert len(page.items) == 100 and page.token is None

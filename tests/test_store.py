@@ -1,7 +1,10 @@
 import os
 import random
+from xml.sax.saxutils import quoteattr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oaimh.model import Datestamp, ItemIdentifier, MalformedPayload, MetadataFormatDescriptor
 from oaimh.store import (
@@ -15,6 +18,7 @@ from oaimh.store import (
     fixture_store,
     render_catalog,
 )
+from oaimh.wire import ParseError
 
 from conftest import MALFORMED_PAYLOADS, days_after
 
@@ -306,3 +310,101 @@ class TestFileStore:
 
     def test_render_catalog_deterministic(self, store):
         assert render_catalog(store) == render_catalog(fixture_store())
+
+
+def catalog_with(item_line: str) -> str:
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<catalog>\n'
+        ' <format prefix="oai_dc" schema="http://www.openarchives.org/OAI/dc.xsd"/>\n'
+        f" {item_line}\n</catalog>\n"
+    )
+
+
+# catalog items the loader refuses; each error names the item, here 'a'
+BAD_ITEMS = {
+    "no datestamp": '<item identifier="a"/>',
+    "bad datestamp": '<item identifier="a" datestamp="2001-02-30"/>',
+    "datestamp with a newline": '<item identifier="a" datestamp="2001-02-03&#10;"/>',
+    "unknown prefix": '<item identifier="a" datestamp="2001-01-01">'
+                      '<payload prefix="zzz"><z/></payload></item>',
+    "deleted with a payload": '<item identifier="a" datestamp="2001-01-01" deleted="true">'
+                              '<payload prefix="oai_dc"><z/></payload></item>',
+}
+
+
+class TestCatalogLoad:
+    @pytest.mark.parametrize("case", BAD_ITEMS)
+    def test_bad_item_is_a_parse_error_naming_it(self, tmp_path, case):
+        path = tmp_path / "catalog.xml"
+        path.write_text(catalog_with(BAD_ITEMS[case]), encoding="utf-8")
+        with pytest.raises(ParseError, match="'a'"):
+            FileStore(str(path))
+
+    @pytest.mark.parametrize("line", [
+        '<item datestamp="2001-01-01"/>',
+        '<format prefix="oai_dc" schema="urn:not-the-dc-schema"/>',
+        '<format schema="urn:s"/>',
+    ])
+    def test_item_without_identifier_or_bad_format_is_a_parse_error(self, tmp_path, line):
+        path = tmp_path / "catalog.xml"
+        path.write_text(catalog_with(line), encoding="utf-8")
+        with pytest.raises(ParseError):
+            FileStore(str(path))
+
+    def test_load_makes_one_parser(self, tmp_path, parsers_made):
+        path = tmp_path / "catalog.xml"
+        path.write_text(render_catalog(random_store(random.Random(3), 50)), encoding="utf-8")
+        with parsers_made() as made:
+            loaded = FileStore(str(path))
+        assert len(made) == 1
+        assert len(loaded.items()) == 50
+
+
+def quoted_catalog(store: MemoryStore) -> str:
+    """What render_catalog must write: every attribute value through quoteattr."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<catalog>"]
+    for fmt in store.formats:
+        ns = f" namespace={quoteattr(fmt.namespace)}" if fmt.namespace else ""
+        lines.append(
+            f" <format prefix={quoteattr(fmt.prefix)} schema={quoteattr(fmt.schema_url)}{ns}/>")
+    for item in store.items():
+        attrs = (f"identifier={quoteattr(item.identifier.value)}"
+                 f" datestamp={quoteattr(str(item.datestamp))}")
+        if item.deleted:
+            attrs += ' deleted="true"'
+        if not item.payloads:
+            lines.append(f" <item {attrs}/>")
+            continue
+        lines.append(f" <item {attrs}>")
+        for prefix, fragment in item.payloads:
+            lines += [f"  <payload prefix={quoteattr(prefix)}>", fragment.strip(), "  </payload>"]
+        lines.append(" </item>")
+    lines.append("</catalog>")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def quoting_stores(draw):
+    prefix = draw(st.text(alphabet="ab\"'<>", min_size=1, max_size=4))
+    formats = [DC_FORMAT, MetadataFormatDescriptor(prefix, "http://example.org/s.xsd")]
+    items = [
+        StoredItem(ItemIdentifier(identifier), draw(st.dates()), deleted,
+                   () if deleted else ((draw(st.sampled_from(["oai_dc", prefix])),
+                                        dc_payload("T", "A")),))
+        for identifier, deleted in draw(st.dictionaries(
+            st.text(alphabet="ab\"'<&>\n\r\t é", min_size=1, max_size=6), st.booleans(),
+            max_size=5)).items()
+    ]
+    return MemoryStore(formats, items)
+
+
+class TestRenderCatalog:
+    @settings(max_examples=60, deadline=None)
+    @given(quoting_stores())
+    def test_attributes_quoted_as_quoteattr_and_load_save_is_a_fixed_point(
+            self, tmp_path_factory, store):
+        text = render_catalog(store)
+        assert text == quoted_catalog(store)
+        path = tmp_path_factory.mktemp("catalog") / "catalog.xml"
+        path.write_text(text, encoding="utf-8")
+        assert render_catalog(FileStore(str(path))) == text

@@ -12,10 +12,12 @@ from oaimh.model import (
     MetadataFormatDescriptor,
     MetadataRecord,
     OaiVerb,
+    Payload,
     RecordHeader,
     RepositoryDescription,
     ResponseDate,
     ResumptionToken,
+    check_payload,
 )
 from oaimh.store import FileStore, dc_payload, fixture_store, render_catalog
 from oaimh.wire import (
@@ -305,6 +307,18 @@ class TestPayloadCuts:
         with pytest.raises(ParseError):
             FileStore(str(path))
 
+    def test_namespace_declared_by_a_dtd_default_refused(self, tmp_path):
+        # the cut <a><p:b/></a> could not carry the declaration of p
+        doctype = '<!DOCTYPE x [<!ATTLIST a xmlns:p CDATA "urn:p">]>\n'
+        page = records_page('<a xmlns="urn:a"><p:b/></a>').replace("\n", "\n" + doctype, 1)
+        with pytest.raises(ParseError):
+            parse_list_response(page, OaiVerb.LIST_RECORDS)
+        path = tmp_path / "catalog.xml"
+        catalog_file(path, '<a xmlns="urn:a"><p:b/></a>')
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n" + doctype.encode(), 1))
+        with pytest.raises(ParseError):
+            FileStore(str(path))
+
     def test_fixture_payloads_read_back_verbatim(self, tmp_path):
         store = fixture_store()
         held = [(item, prefix, payload) for item in store.items()
@@ -384,6 +398,14 @@ class TestCutProperty:
         reference = ET.tostring(element, encoding="unicode")
         assert ET.canonicalize(xml_data=cut, rewrite_prefixes=True) == ET.canonicalize(
             xml_data=reference, rewrite_prefixes=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload_pages())
+    def test_every_cut_passes_the_payload_check(self, page):
+        # what lets a store take a cut without checking it again
+        cut = payload_of(page)
+        assert isinstance(cut, Payload)
+        check_payload(str(cut))  # an exact str, so it is parsed
 
 
 
