@@ -24,10 +24,15 @@ DEFAULT_RETRY_SECONDS = 60
 #: 503 waits and 302 hops one request may take before it gives up.
 MAX_RETRIES = 5
 MAX_REDIRECTS = 5
+#: The longest Retry-After a request waits; past it the request gives up.
+MAX_RETRY_SECONDS = 3600
 
 #: Connect and read timeout of `http_transport`, in seconds; a provider that
 #: stops answering surfaces as ConnectionFailed instead of a hang.
 HTTP_TIMEOUT_SECONDS = 60
+#: The largest response body `http_transport` reads; a longer one is a
+#: ConnectionFailed.
+MAX_RESPONSE_BYTES = 64 * 1024 * 1024
 
 
 class TransportError(Exception):
@@ -92,13 +97,15 @@ def http_transport(url: str, method: str, payload: str, headers: dict) -> tuple[
     try:
         conn.request(method, path, body=body, headers=headers)
         resp = conn.getresponse()
-        data = resp.read().decode("utf-8", errors="replace")
+        data = resp.read(MAX_RESPONSE_BYTES + 1)
+        if len(data) > MAX_RESPONSE_BYTES:
+            raise ConnectionFailed(f"response body longer than {MAX_RESPONSE_BYTES} bytes")
         resp_headers = {k.lower(): v for k, v in resp.getheaders()}
     except OSError as exc:
         raise ConnectionFailed(str(exc)) from None
     finally:
         conn.close()
-    return resp.status, resp_headers, data
+    return resp.status, resp_headers, data.decode("utf-8", errors="replace")
 
 
 def _retry_seconds(value: Optional[str]) -> int:
@@ -106,11 +113,14 @@ def _retry_seconds(value: Optional[str]) -> int:
         logger.warning("503 without Retry-After (data-provider error), using default")
         return DEFAULT_RETRY_SECONDS
     try:
-        return max(1, int(value))
+        seconds = max(1, int(value))
     except ValueError:
         # HTTP-date form is out of scope; treat as absent
         logger.warning("unparseable Retry-After %r, using default", value)
         return DEFAULT_RETRY_SECONDS
+    if seconds > MAX_RETRY_SECONDS:
+        raise RetriesExhausted(f"Retry-After {seconds} s is longer than {MAX_RETRY_SECONDS} s")
+    return seconds
 
 
 def oai_get(
@@ -123,9 +133,10 @@ def oai_get(
     """Issue one protocol request and return the final 200 body.
 
     Flow control: each 503 waits the advertised Retry-After (bounded by
-    MAX_RETRIES in total); each 302 re-issues to the Location URL, preserving
-    verb, arguments and method, bounded by MAX_REDIRECTS. Each step is logged
-    at INFO on the `oaimh.client` logger.
+    MAX_RETRIES in total, and each wait by MAX_RETRY_SECONDS); each 302
+    re-issues to the Location URL, preserving verb, arguments and method,
+    bounded by MAX_REDIRECTS. Each step is logged at INFO on the
+    `oaimh.client` logger.
     """
     clock = clock or SystemClock()
     payload = encode_request(req)

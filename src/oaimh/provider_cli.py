@@ -16,9 +16,11 @@ Config files are plain key=value text, one pair per line, '#' comments:
 from __future__ import annotations
 
 import argparse
+import queue
 import sys
+import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Optional
 from urllib.parse import urlsplit
 
@@ -26,6 +28,12 @@ from .model import RepositoryDescription
 from .provider import HttpResponse, Provider, ProviderConfig, ThrottlePolicy
 from .request import MAX_REQUEST_BYTES
 from .store import FileStore, fixture_store
+from .wire import ParseError
+
+#: Connections handled at once; further ones wait in the listen backlog.
+MAX_HANDLERS = 16
+#: Seconds a handler waits on one read or write before it drops the client.
+HANDLER_TIMEOUT_SECONDS = 10
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -72,6 +80,7 @@ def build_provider(values: dict[str, str]) -> Provider:
 
 class _Handler(BaseHTTPRequestHandler):
     provider: Provider = None  # set by serve()
+    timeout = HANDLER_TIMEOUT_SECONDS
 
     def _send(self, resp: HttpResponse) -> None:
         body = resp.body.encode("utf-8")
@@ -80,8 +89,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in resp.headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # the body alone
+            self.wfile.write(body)
+        else:
+            # one write: a body sent apart from its headers would wait on
+            # Nagle's algorithm for the ack of the headers on a kept-alive
+            # connection
+            self._headers_buffer.extend((b"\r\n", body))
+            self.flush_headers()
 
     def do_GET(self):
         raw = urlsplit(self.path).query
@@ -105,10 +120,58 @@ class _Handler(BaseHTTPRequestHandler):
         sys.stderr.write("provider: %s\n" % (fmt % args))
 
 
-def serve(provider: Provider, port: int, host: str = "") -> ThreadingHTTPServer:
+class _PooledHTTPServer(HTTPServer):
+    """An HTTPServer that hands each accepted connection to a pool of worker
+    threads, each reused from one connection to the next. A connection that
+    finds no worker idle starts one, up to MAX_HANDLERS; while that many are
+    busy the accept loop waits, and further connections wait in the listen
+    backlog."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._workers: list[threading.Thread] = []
+        self._idle = 0  # workers with no connection to handle
+        self._changed = threading.Condition()  # guards _idle and _workers
+
+    def process_request(self, request, client_address) -> None:
+        with self._changed:
+            while not self._idle and len(self._workers) >= MAX_HANDLERS:
+                self._changed.wait()
+            if self._idle:
+                self._idle -= 1
+            else:
+                worker = threading.Thread(target=self._work, daemon=True)
+                worker.start()
+                self._workers.append(worker)
+        self._jobs.put((request, client_address))
+
+    def _work(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            request, client_address = job
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+                with self._changed:
+                    self._idle += 1
+                    self._changed.notify()
+
+    def server_close(self) -> None:
+        """Close the listening socket, then stop and join every worker once
+        it has finished the connections handed to it."""
+        super().server_close()
+        for _ in self._workers:
+            self._jobs.put(None)
+        for worker in self._workers:
+            worker.join()
+
+
+def serve(provider: Provider, port: int, host: str = "") -> HTTPServer:
     handler = type("BoundHandler", (_Handler,), {"provider": provider})
-    server = ThreadingHTTPServer((host, port), handler)
-    return server
+    return _PooledHTTPServer((host, port), handler)
 
 
 def ask(provider: Provider, raw_request: str) -> tuple[int, str]:
@@ -141,8 +204,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     ask_p.add_argument("--config", help="key=value config file")
 
     args = parser.parse_args(argv)
-    values = parse_config_file(args.config) if args.config else {}
-    provider = build_provider(values)
+    try:
+        values = parse_config_file(args.config) if args.config else {}
+        provider = build_provider(values)
+    except (OSError, ValueError, ParseError) as exc:
+        sys.stderr.write(f"provider: {exc}\n")
+        return 2
 
     if args.command == "serve":
         server = serve(provider, args.port)
@@ -151,6 +218,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             server.serve_forever()
         except KeyboardInterrupt:
             pass
+        finally:
+            server.server_close()
         return 0
 
     status, output = ask(provider, args.request)

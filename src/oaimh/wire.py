@@ -144,13 +144,9 @@ def render_envelope(env: ResponseEnvelope) -> str:
 _START_TAG = re.compile(rb"""(<[^\s/>]+)(?:[^"'>]|"[^"]*"|'[^']*')*>""")
 
 
-def _refuse_entities(*args) -> None:
-    raise ParseError("only the predefined entities are supported: a cut element could not carry others")
-
-
-def _refuse_namespace_defaults(element: str, name: str, kind, default, required) -> None:
-    if default is not None and (name == "xmlns" or name.startswith("xmlns:")):
-        raise ParseError(f"a DTD default declares a namespace on <{element}>: a cut element could not carry it")
+def _refuse_doctype(*args) -> None:
+    raise ParseError("a document type declaration is not supported: a cut element could not "
+                     "carry the entities or attribute defaults it declares")
 
 
 def _cut(data: bytes, start: int, end: int, inherited: dict[str, str]) -> Payload:
@@ -186,9 +182,9 @@ def read_xml(
     its descendants send no events. This pass is the cut's check, so the text
     is a `Payload`. `on_end(depth, local, text)` gets every element not cut,
     with the character data after its last child tag (all its text when it
-    has no child elements). Malformed XML, and entities other than the
-    predefined ones or namespaces declared by DTD defaults, which a cut could
-    not carry, raise ParseError.
+    has no child elements). Malformed XML, and any document type declaration,
+    whose entities and attribute defaults a cut could not carry, raise
+    ParseError.
     """
     parser = pyexpat.ParserCreate("utf-8", " ")
     parser.namespace_prefixes = True  # names read "uri local prefix", "uri local" or "local"
@@ -281,8 +277,7 @@ def read_xml(
     parser.CharacterDataHandler = chunks.append
     parser.StartNamespaceDeclHandler = start_namespace
     parser.EndNamespaceDeclHandler = end_namespace
-    parser.EntityDeclHandler = parser.SkippedEntityHandler = _refuse_entities
-    parser.AttlistDeclHandler = _refuse_namespace_defaults
+    parser.StartDoctypeDeclHandler = _refuse_doctype
     try:
         parser.Parse(data, True)
     except pyexpat.ExpatError as exc:
@@ -310,8 +305,9 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
     identifier; the resumptionToken text is extracted verbatim (element
     attributes are ignored). A payload (the first element in <metadata>) and a
     description block are kept as written, with inherited namespace
-    declarations added to their root. Malformed XML, entity declarations, and
-    a value the model refuses such as a bad date, raise ParseError.
+    declarations added to their root. Malformed XML, a document type
+    declaration, and a value the model refuses such as a bad date, raise
+    ParseError.
     """
     items: list[BodyItem] = []
     texts: dict[str, str] = {}  # top-level fields by name, the last of each

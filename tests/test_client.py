@@ -79,6 +79,20 @@ def test_retry_after_http_date_treated_as_absent():
     assert clock.sleeps == [client.DEFAULT_RETRY_SECONDS]
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_retry_after_past_the_limit_gives_up_without_sleeping(extra):
+    clock = FakeClock(0)
+    retry_after = str(client.MAX_RETRY_SECONDS + extra)
+    server = ScriptedServer(clock, [(503, {"retry-after": retry_after}, ""), (200, {}, "<ok/>")])
+    if extra:
+        with pytest.raises(RetriesExhausted):
+            oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
+        assert (clock.sleeps, len(server.requests)) == ([], 1)
+    else:
+        assert oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport) == "<ok/>"
+        assert clock.sleeps == [client.MAX_RETRY_SECONDS]
+
+
 def test_retries_exhausted():
     clock = FakeClock(0)
     script = [(503, {"retry-after": "1"}, "")] * (client.MAX_RETRIES + 1)

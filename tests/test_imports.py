@@ -43,7 +43,7 @@ def test_no_unused_imports(module):
 
 
 # entry points, and hooks that http.server calls by name
-CALLED_FROM_OUTSIDE = {"main", "do_GET", "do_POST", "log_message"}
+CALLED_FROM_OUTSIDE = {"main", "do_GET", "do_POST", "log_message", "process_request"}
 
 
 def unused_definitions(sources: dict[str, str]) -> list[str]:

@@ -319,6 +319,18 @@ class TestPayloadCuts:
         with pytest.raises(ParseError):
             FileStore(str(path))
 
+    def test_dtd_attribute_default_refused(self, tmp_path):
+        # the cut <a> would lose the lang="en" the DTD gives it
+        doctype = '<!DOCTYPE x [<!ATTLIST a lang CDATA "en">]>\n'
+        page = records_page('<a xmlns="urn:a">t</a>').replace("\n", "\n" + doctype, 1)
+        with pytest.raises(ParseError):
+            parse_list_response(page, OaiVerb.LIST_RECORDS)
+        path = tmp_path / "catalog.xml"
+        catalog_file(path, '<a xmlns="urn:a">t</a>')
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n" + doctype.encode(), 1))
+        with pytest.raises(ParseError):
+            FileStore(str(path))
+
     def test_fixture_payloads_read_back_verbatim(self, tmp_path):
         store = fixture_store()
         held = [(item, prefix, payload) for item in store.items()
