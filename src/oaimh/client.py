@@ -52,7 +52,7 @@ class ConnectionFailed(TransportError):
 
 
 class HttpError(TransportError):
-    def __init__(self, status: int, body: str = ""):
+    def __init__(self, status: int, body: bytes = b""):
         super().__init__(f"HTTP status {status}")
         self.status = status
         self.body = body
@@ -77,11 +77,12 @@ class SystemClock:
         time.sleep(seconds)
 
 
-#: (url, method, query_or_body, headers) -> (status, headers dict, body)
-Transport = Callable[[str, str, str, dict], tuple[int, dict, str]]
+#: (url, method, query_or_body, headers) -> (status, headers dict, body),
+#: where body is the response body as received, undecoded
+Transport = Callable[[str, str, str, dict], tuple[int, dict, bytes]]
 
 
-def http_transport(url: str, method: str, payload: str, headers: dict) -> tuple[int, dict, str]:
+def http_transport(url: str, method: str, payload: str, headers: dict) -> tuple[int, dict, bytes]:
     """Plain http.client transport with redirects left to the caller."""
     parts = urllib.parse.urlsplit(url)
     conn_cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
@@ -105,7 +106,7 @@ def http_transport(url: str, method: str, payload: str, headers: dict) -> tuple[
         raise ConnectionFailed(str(exc)) from None
     finally:
         conn.close()
-    return resp.status, resp_headers, data.decode("utf-8", errors="replace")
+    return resp.status, resp_headers, data
 
 
 def _retry_seconds(value: Optional[str]) -> int:
@@ -129,8 +130,8 @@ def oai_get(
     cfg: ClientConfig,
     clock=None,
     transport: Transport = http_transport,
-) -> str:
-    """Issue one protocol request and return the final 200 body.
+) -> bytes:
+    """Issue one protocol request and return the final 200 body as received.
 
     Flow control: each 503 waits the advertised Retry-After (bounded by
     MAX_RETRIES in total, and each wait by MAX_RETRY_SECONDS); each 302

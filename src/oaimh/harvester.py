@@ -3,7 +3,7 @@
 A harvest run issues Identify, checks it against the previous harvest's copy,
 resolves the from date (command line > stored Identify > complete harvest)
 and then loops over list requests, following resumption tokens, writing each
-raw page to <Verb>.N before parsing it.
+raw page to <Verb>.N, the bytes exactly as received, before parsing it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .client import ClientConfig, SystemClock, TransportError, http_transport, o
 from .model import (
     DC_SCHEMA_URL,
     Datestamp,
+    MalformedDate,
     MetadataFormatDescriptor,
     MetadataRecord,
     OaiRequest,
@@ -61,7 +62,7 @@ class HarvestOutcome:
     from_date: Optional[Datestamp] = None
 
 
-def extract_from_date(identify_doc: str) -> Datestamp:
+def extract_from_date(identify_doc: bytes) -> Datestamp:
     """The date part of a stored Identify response's responseDate.
 
     The responseDate is repository-local by protocol, so using its date as the
@@ -102,14 +103,14 @@ def run_harvest(
 
     logger.info("Harvest from %s using %s", plan.base_url, cfg.method)
     identify_body = oai_get(plan.base_url, OaiRequest.of(OaiVerb.IDENTIFY), cfg, clock, transport)
-    with open(identify_path, "w", encoding="utf-8") as fh:
+    with open(identify_path, "wb") as fh:
         fh.write(identify_body)
 
     outcome = HarvestOutcome()
 
     resolved_from = plan.from_date
     if plan.prev_identify is not None:
-        with open(plan.prev_identify, encoding="utf-8") as fh:
+        with open(plan.prev_identify, "rb") as fh:
             prev_doc = fh.read()
         outcome.identify_changed = not identify_equal_ignoring_date(identify_body, prev_doc)
         if outcome.identify_changed:
@@ -137,7 +138,7 @@ def run_harvest(
         page_no += 1
         body = oai_get(plan.base_url, req, cfg, clock, transport)
         page_path = os.path.join(out_dir, f"{plan.verb.value}.{page_no}")
-        with open(page_path, "w", encoding="utf-8") as fh:
+        with open(page_path, "wb") as fh:
             fh.write(body)
         outcome.page_files.append(page_path)
         parsed = parse_list_response(body, plan.verb)
@@ -196,7 +197,7 @@ def merge_into_catalog(out_dir: str, catalog_path: str) -> MergeReport:
     catalog = FileStore(catalog_path)
     report = MergeReport()
     for page_name in manifest["pages"]:
-        with open(os.path.join(out_dir, page_name), encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, page_name), "rb") as fh:
             parsed = parse_list_response(fh.read(), OaiVerb.LIST_RECORDS)
         for record in parsed.items:
             if not isinstance(record, MetadataRecord):
@@ -260,6 +261,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="after a ListRecords harvest, merge pages into this catalog file")
     parser.add_argument("-v", "--verbose", action="store_true", help="log each HTTP request")
     args = parser.parse_args(argv)
+    if args.merge and not args.records:
+        parser.error("--merge requires --records")
+    try:
+        from_date = datestamp_parse(args.from_date) if args.from_date else None
+        until_date = datestamp_parse(args.until_date) if args.until_date else None
+    except MalformedDate as exc:
+        parser.error(str(exc))
 
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     logging.getLogger("oaimh.client").setLevel(logging.INFO if args.verbose else logging.WARNING)
@@ -273,8 +281,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             out_dir=args.dir,
             verb=OaiVerb.LIST_RECORDS if args.records else OaiVerb.LIST_IDENTIFIERS,
             prefix=args.metadata_prefix,
-            from_date=datestamp_parse(args.from_date) if args.from_date else None,
-            until_date=datestamp_parse(args.until_date) if args.until_date else None,
+            from_date=from_date,
+            until_date=until_date,
             prev_identify=args.identify,
         )
         cfg = ClientConfig(
@@ -283,8 +291,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         outcome = run_harvest(plan, cfg)
         if args.merge:
-            if plan.verb is not OaiVerb.LIST_RECORDS:
-                parser.error("--merge requires --records")
             report = merge_into_catalog(args.dir, args.merge)
             logger.info(
                 "Merge: %d added, %d updated, %d deleted, %d unchanged",

@@ -60,7 +60,7 @@ class ProviderConfig:
 @dataclass(frozen=True)
 class HttpResponse:
     status: int
-    body: str = ""
+    body: bytes = b""
     content_type: str = "text/plain"
     headers: tuple[tuple[str, str], ...] = ()
 
@@ -260,10 +260,11 @@ class Provider:
         self, client_addr: str, method: str, raw_request: str, now: float
     ) -> HttpResponse:
         """Answer one request: 503 (throttled), 302 (redirect policy), 400
-        (syntax error), 200 (envelope), or 500 on internal failure."""
+        (syntax error), 200 (envelope), or 500 on internal failure. The body
+        is UTF-8 bytes, which every later hop passes on unchanged."""
         retry = self._check_throttle(client_addr, now)
         if retry is not None:
-            return HttpResponse(503, "Retry after %d seconds\n" % retry,
+            return HttpResponse(503, b"Retry after %d seconds\n" % retry,
                                 headers=(("Retry-After", str(retry)),))
         if self.config.redirect_targets:
             location = self._next_redirect()
@@ -274,11 +275,11 @@ class Provider:
             try:
                 req = validate_request(parse_request(raw_request))
             except RequestSyntaxError as exc:
-                return HttpResponse(400, exc.message + "\n")
+                return HttpResponse(400, exc.message.encode("utf-8") + b"\n")
             body = render_envelope(self.dispatch(req, now))
-            return HttpResponse(200, body, content_type="text/xml")
+            return HttpResponse(200, body.encode("utf-8"), content_type="text/xml")
         except Exception as exc:  # pragma: no cover - defensive
-            return HttpResponse(500, f"internal error: {exc}\n")
+            return HttpResponse(500, f"internal error: {exc}\n".encode("utf-8"))
 
 
 def _maybe_date(text: Optional[str]) -> Optional[Datestamp]:

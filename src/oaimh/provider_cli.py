@@ -16,7 +16,9 @@ Config files are plain key=value text, one pair per line, '#' comments:
 from __future__ import annotations
 
 import argparse
+import io
 import queue
+import socket
 import sys
 import threading
 import time
@@ -32,7 +34,8 @@ from .wire import ParseError
 
 #: Connections handled at once; further ones wait in the listen backlog.
 MAX_HANDLERS = 16
-#: Seconds a handler waits on one read or write before it drops the client.
+#: Seconds a connection may hold a handler from when it takes it: each read
+#: waits only for the time left, and the response's one write for what was left.
 HANDLER_TIMEOUT_SECONDS = 10
 
 
@@ -78,24 +81,45 @@ def build_provider(values: dict[str, str]) -> Provider:
     return Provider(store, config)
 
 
+class _DeadlineReader(socket.SocketIO):
+    """The raw reader under a connection's buffered `rfile`: each recv waits
+    only for the time left before a deadline, so however slowly a request
+    trickles in, reading it ends by then."""
+
+    def __init__(self, sock: socket.socket, seconds: float):
+        super().__init__(sock, "rb")
+        self._deadline = time.monotonic() + seconds
+
+    def readinto(self, buffer) -> Optional[int]:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("connection deadline passed")
+        self._sock.settimeout(left)
+        return super().readinto(buffer)
+
+
 class _Handler(BaseHTTPRequestHandler):
     provider: Provider = None  # set by serve()
     timeout = HANDLER_TIMEOUT_SECONDS
 
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()  # nothing is read yet: replace it
+        self.rfile = io.BufferedReader(_DeadlineReader(self.connection, self.timeout))
+
     def _send(self, resp: HttpResponse) -> None:
-        body = resp.body.encode("utf-8")
         self.send_response(resp.status)
         self.send_header("Content-Type", resp.content_type)
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(resp.body)))
         for name, value in resp.headers:
             self.send_header(name, value)
         if self.request_version == "HTTP/0.9":  # the body alone
-            self.wfile.write(body)
+            self.wfile.write(resp.body)
         else:
             # one write: a body sent apart from its headers would wait on
             # Nagle's algorithm for the ack of the headers on a kept-alive
             # connection
-            self._headers_buffer.extend((b"\r\n", body))
+            self._headers_buffer.extend((b"\r\n", resp.body))
             self.flush_headers()
 
     def do_GET(self):
@@ -111,9 +135,13 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if not 0 <= length <= MAX_REQUEST_BYTES:
-            self._send(HttpResponse(400, "Bad Content-Length\n"))
+            self._send(HttpResponse(400, b"Bad Content-Length\n"))
             return
-        raw = self.rfile.read(length).decode("utf-8", errors="replace")
+        try:
+            raw = self.rfile.read(length).decode("utf-8")
+        except UnicodeDecodeError:
+            self._send(HttpResponse(400, b"Request body is not UTF-8\n"))
+            return
         self._send(self.provider.handle(self.client_address[0], "POST", raw, time.time()))
 
     def log_message(self, fmt, *args):
@@ -174,8 +202,9 @@ def serve(provider: Provider, port: int, host: str = "") -> HTTPServer:
     return _PooledHTTPServer((host, port), handler)
 
 
-def ask(provider: Provider, raw_request: str) -> tuple[int, str]:
-    """One-shot command-line request, CGI-style output."""
+def ask(provider: Provider, raw_request: str) -> tuple[int, bytes]:
+    """One-shot command-line request, CGI-style output: header lines, a blank
+    line, then the body as it would be sent."""
     resp = provider.handle("cli", "GET", raw_request, time.time())
     lines = []
     if resp.status != 200:
@@ -186,9 +215,8 @@ def ask(provider: Provider, raw_request: str) -> tuple[int, str]:
     lines.append(f"Content-Type: {resp.content_type}")
     for name, value in resp.headers:
         lines.append(f"{name}: {value}")
-    lines.append("")
-    lines.append(resp.body)
-    return resp.status, "\n".join(lines)
+    head = "\n".join(lines) + "\n\n"
+    return resp.status, head.encode("utf-8") + resp.body
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -223,7 +251,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     status, output = ask(provider, args.request)
-    print(output)
+    sys.stdout.buffer.write(output + b"\n")
     return 0 if status == 200 else 1
 
 

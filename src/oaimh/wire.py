@@ -297,8 +297,9 @@ _FIELDS = frozenset({
 })
 
 
-def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
-    """Parse a response document into envelope metadata, body items and token.
+def parse_list_response(doc: bytes, expected_verb: OaiVerb) -> ParsedListResponse:
+    """Parse a response document, the bytes as received, into envelope
+    metadata, body items and token.
 
     Tolerant of namespace prefixes and inter-element whitespace; captures
     deleted status from the status attribute of a record, its header or its
@@ -306,8 +307,8 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
     attributes are ignored). A payload (the first element in <metadata>) and a
     description block are kept as written, with inherited namespace
     declarations added to their root. Malformed XML, a document type
-    declaration, and a value the model refuses such as a bad date, raise
-    ParseError.
+    declaration, a document that is not UTF-8, and a value the model refuses
+    such as a bad date, raise ParseError.
     """
     items: list[BodyItem] = []
     texts: dict[str, str] = {}  # top-level fields by name, the last of each
@@ -369,8 +370,7 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
             metadata = text
 
     try:
-        # str input is UTF-8 whatever its XML declaration says, as in ET.fromstring
-        read_xml(doc.encode("utf-8"), on_start, on_end, on_span)
+        read_xml(doc, on_start, on_end, on_span)
         if "responseDate" not in texts:
             raise ParseError("response has no responseDate element")
         response_date = ResponseDate.parse(texts["responseDate"].strip())
@@ -393,18 +393,18 @@ def parse_list_response(doc: str, expected_verb: OaiVerb) -> ParsedListResponse:
     return ParsedListResponse(envelope, tuple(items), token)
 
 
-_RESPONSE_DATE_ELEM_RE = re.compile(r"(<responseDate[^>]*>).*?(</responseDate>)", re.DOTALL)
+_RESPONSE_DATE_ELEM_RE = re.compile(rb"(<responseDate[^>]*>).*?(</responseDate>)", re.DOTALL)
 
 
-def identify_equal_ignoring_date(doc_a: str, doc_b: str) -> bool:
-    """String-level comparison of two Identify responses, masking responseDate.
+def identify_equal_ignoring_date(doc_a: bytes, doc_b: bytes) -> bool:
+    """Byte-level comparison of two Identify responses, masking responseDate.
 
     Deliberately over-sensitive: any byte difference outside the responseDate
     text counts as a change.
     """
     masked = []
     for doc in (doc_a, doc_b):
-        replaced, count = _RESPONSE_DATE_ELEM_RE.subn(r"\1@\2", doc)
+        replaced, count = _RESPONSE_DATE_ELEM_RE.subn(rb"\1@\2", doc)
         if count == 0:
             raise ParseError("document has no responseDate element")
         masked.append(replaced)

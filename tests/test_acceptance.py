@@ -83,7 +83,7 @@ class TestCriterion1Transcripts:
         resp = fetch(fixture_provider, "bad-request")
         assert resp.status == 400
         assert resp.content_type == "text/plain"
-        assert resp.body.strip() == "No verb specified!"
+        assert resp.body.strip() == b"No verb specified!"
         ok("criterion 1e — malformed request is 400 text/plain 'No verb specified!'")
 
 
@@ -250,7 +250,7 @@ class TestCriterion5OverlapNoLoss:
             )
             got = set()
             for page in out.page_files:
-                parsed = parse_list_response(Path(page).read_text(), OaiVerb.LIST_IDENTIFIERS)
+                parsed = parse_list_response(Path(page).read_bytes(), OaiVerb.LIST_IDENTIFIERS)
                 got.update(h.identifier.value for h in parsed.items)
             missing = mutated - got
             assert not missing, f"trial {trial}: lost {missing}"
@@ -295,7 +295,7 @@ class TestCriterion6RoundTrip:
             env = ResponseEnvelope(
                 verb, rd, BASE_URL + "?verb=" + verb.value, tuple(items), token
             )
-            parsed = parse_list_response(render_envelope(env), verb)
+            parsed = parse_list_response(render_envelope(env).encode("utf-8"), verb)
             assert parsed.token == env.resumption_token
             assert parsed.envelope.response_date == env.response_date
             assert len(parsed.items) == len(env.body_items)

@@ -39,13 +39,13 @@ class ScriptedServer:
 
 def test_plain_200():
     clock = FakeClock(0)
-    server = ScriptedServer(clock, [(200, {}, "<ok/>")])
-    assert oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport) == "<ok/>"
+    server = ScriptedServer(clock, [(200, {}, b"<ok/>")])
+    assert oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport) == b"<ok/>"
 
 
 def test_identification_headers_always_sent():
     clock = FakeClock(0)
-    server = ScriptedServer(clock, [(200, {}, "<ok/>")])
+    server = ScriptedServer(clock, [(200, {}, b"<ok/>")])
     oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
     headers = server.requests[0]["headers"]
     assert headers["From"] == "tester@example.org"
@@ -55,17 +55,17 @@ def test_identification_headers_always_sent():
 def test_503_waits_advertised_interval_then_retries():
     clock = FakeClock(0)
     server = ScriptedServer(
-        clock, [(503, {"retry-after": "60"}, ""), (200, {}, "<ok/>")]
+        clock, [(503, {"retry-after": "60"}, b""), (200, {}, b"<ok/>")]
     )
     body = oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
-    assert body == "<ok/>"
+    assert body == b"<ok/>"
     assert clock.sleeps == [60]
     assert server.requests[1]["t"] - server.requests[0]["t"] >= 60
 
 
 def test_503_without_retry_after_uses_default():
     clock = FakeClock(0)
-    server = ScriptedServer(clock, [(503, {}, ""), (200, {}, "<ok/>")])
+    server = ScriptedServer(clock, [(503, {}, b""), (200, {}, b"<ok/>")])
     oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
     assert clock.sleeps == [client.DEFAULT_RETRY_SECONDS]
 
@@ -73,7 +73,7 @@ def test_503_without_retry_after_uses_default():
 def test_retry_after_http_date_treated_as_absent():
     clock = FakeClock(0)
     server = ScriptedServer(
-        clock, [(503, {"retry-after": "Fri, 31 Dec 1999 23:59:59 GMT"}, ""), (200, {}, "<ok/>")]
+        clock, [(503, {"retry-after": "Fri, 31 Dec 1999 23:59:59 GMT"}, b""), (200, {}, b"<ok/>")]
     )
     oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
     assert clock.sleeps == [client.DEFAULT_RETRY_SECONDS]
@@ -83,19 +83,19 @@ def test_retry_after_http_date_treated_as_absent():
 def test_retry_after_past_the_limit_gives_up_without_sleeping(extra):
     clock = FakeClock(0)
     retry_after = str(client.MAX_RETRY_SECONDS + extra)
-    server = ScriptedServer(clock, [(503, {"retry-after": retry_after}, ""), (200, {}, "<ok/>")])
+    server = ScriptedServer(clock, [(503, {"retry-after": retry_after}, b""), (200, {}, b"<ok/>")])
     if extra:
         with pytest.raises(RetriesExhausted):
             oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
         assert (clock.sleeps, len(server.requests)) == ([], 1)
     else:
-        assert oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport) == "<ok/>"
+        assert oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport) == b"<ok/>"
         assert clock.sleeps == [client.MAX_RETRY_SECONDS]
 
 
 def test_retries_exhausted():
     clock = FakeClock(0)
-    script = [(503, {"retry-after": "1"}, "")] * (client.MAX_RETRIES + 1)
+    script = [(503, {"retry-after": "1"}, b"")] * (client.MAX_RETRIES + 1)
     server = ScriptedServer(clock, script)
     with pytest.raises(RetriesExhausted):
         oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
@@ -106,10 +106,10 @@ def test_302_follows_location():
     clock = FakeClock(0)
     server = ScriptedServer(
         clock,
-        [(302, {"location": "http://mirror/oai?verb=Identify"}, ""), (200, {}, "<ok/>")],
+        [(302, {"location": "http://mirror/oai?verb=Identify"}, b""), (200, {}, b"<ok/>")],
     )
     body = oai_get("http://primary/oai", IDENTIFY, CFG, clock, server.transport)
-    assert body == "<ok/>"
+    assert body == b"<ok/>"
     assert server.requests[1]["url"] == "http://mirror/oai"
 
 
@@ -117,7 +117,7 @@ def test_redirect_preserves_method_and_arguments():
     clock = FakeClock(0)
     req = OaiRequest.of(OaiVerb.LIST_IDENTIFIERS, **{"from": "2001-06-05"})
     server = ScriptedServer(
-        clock, [(302, {"location": "http://mirror/oai"}, ""), (200, {}, "<ok/>")]
+        clock, [(302, {"location": "http://mirror/oai"}, b""), (200, {}, b"<ok/>")]
     )
     oai_get("http://primary/oai", req, CFG, clock, server.transport)
     assert server.requests[0]["payload"] == server.requests[1]["payload"]
@@ -126,7 +126,7 @@ def test_redirect_preserves_method_and_arguments():
 
 def test_redirect_loop_bounded():
     clock = FakeClock(0)
-    script = [(302, {"location": "http://next/oai"}, "")] * (client.MAX_REDIRECTS + 1)
+    script = [(302, {"location": "http://next/oai"}, b"")] * (client.MAX_REDIRECTS + 1)
     server = ScriptedServer(clock, script)
     with pytest.raises(RedirectLoop):
         oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
@@ -134,7 +134,7 @@ def test_redirect_loop_bounded():
 
 def test_other_status_raises_http_error():
     clock = FakeClock(0)
-    server = ScriptedServer(clock, [(404, {}, "gone")])
+    server = ScriptedServer(clock, [(404, {}, b"gone")])
     with pytest.raises(HttpError) as exc:
         oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)
     assert exc.value.status == 404
@@ -142,8 +142,8 @@ def test_other_status_raises_http_error():
 
 def test_total_requests_bounded():
     clock = FakeClock(0)
-    script = [(503, {"retry-after": "1"}, ""), (302, {"location": "http://y/oai"}, "")]
-    script += [(503, {"retry-after": "1"}, "")] * 10
+    script = [(503, {"retry-after": "1"}, b""), (302, {"location": "http://y/oai"}, b"")]
+    script += [(503, {"retry-after": "1"}, b"")] * 10
     server = ScriptedServer(clock, script)
     with pytest.raises(RetriesExhausted):
         oai_get("http://x/oai", IDENTIFY, CFG, clock, server.transport)

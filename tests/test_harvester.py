@@ -42,19 +42,19 @@ def harvest(network, out_dir, **plan_args):
 class TestExtractFromDate:
     def test_repository_local_date(self):
         doc = (
-            "<Identify><responseDate>2001-06-05T09:00:00-06:00</responseDate></Identify>"
+            b"<Identify><responseDate>2001-06-05T09:00:00-06:00</responseDate></Identify>"
         )
         assert extract_from_date(doc) == Datestamp(2001, 6, 5)
 
     def test_no_zone_conversion(self):
         doc = (
-            "<Identify><responseDate>1999-12-31T23:59:59+13:00</responseDate></Identify>"
+            b"<Identify><responseDate>1999-12-31T23:59:59+13:00</responseDate></Identify>"
         )
         assert extract_from_date(doc) == Datestamp(1999, 12, 31)
 
     def test_missing_response_date(self):
         with pytest.raises(ParseError):
-            extract_from_date("<Identify></Identify>")
+            extract_from_date(b"<Identify></Identify>")
 
     def test_bad_stored_response_date_fails_the_command(self, network, tmp_path, monkeypatch):
         prev = tmp_path / "Identify.prev"
@@ -65,6 +65,44 @@ class TestExtractFromDate:
             run_harvest, clock=network.clock, transport=network.transport))
         argv = [BASE_URL, "-d", str(tmp_path), "-i", str(prev), "--email", "t@example.org"]
         assert harvester.main(argv) == EXIT_FAILED
+
+    def test_stored_identify_not_utf8_fails_the_command(self, network, tmp_path, monkeypatch):
+        prev = tmp_path / "Identify.prev"
+        prev.write_bytes(
+            b"<Identify><responseDate>2001-06-05T09:00:00-06:00</responseDate>"
+            b"<repositoryName>Caf\xe9</repositoryName></Identify>"
+        )
+        monkeypatch.setattr(harvester, "run_harvest", partial(
+            run_harvest, clock=network.clock, transport=network.transport))
+        argv = [BASE_URL, "-d", str(tmp_path), "-i", str(prev), "--email", "t@example.org"]
+        assert harvester.main(argv) == EXIT_FAILED
+
+
+class TestCommandLine:
+    def test_merge_without_records_is_refused_before_any_request(
+            self, network, tmp_path, monkeypatch):
+        monkeypatch.setattr(harvester, "run_harvest", partial(
+            run_harvest, clock=network.clock, transport=network.transport))
+        argv = [BASE_URL, "-d", str(tmp_path), "--merge", str(tmp_path / "catalog.xml"),
+                "--email", "t@example.org"]
+        with pytest.raises(SystemExit) as exc:
+            harvester.main(argv)
+        assert exc.value.code == 2
+        assert network.request_log == []
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag, value", [("--from", "2001-13-01"), ("--until", "2001-1-01")])
+    def test_malformed_date_is_a_usage_error(
+            self, network, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(harvester, "run_harvest", partial(
+            run_harvest, clock=network.clock, transport=network.transport))
+        argv = [BASE_URL, "-d", str(tmp_path), flag, value, "--email", "t@example.org"]
+        with pytest.raises(SystemExit) as exc:
+            harvester.main(argv)
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("harvest: error: ") and last.endswith(repr(value))
+        assert network.request_log == []
 
 
 class TestVerboseFlag:
@@ -92,6 +130,50 @@ class TestVerboseFlag:
             "No resumptionToken, request complete.",
             "Done.",
         ]
+
+
+# a provider that sends Latin-1 where OAI asks for UTF-8
+LATIN1_PAGE = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<ListRecords xmlns="http://www.openarchives.org/OAI/OAI_ListRecords">'
+    "<responseDate>2001-06-05T09:00:00-06:00</responseDate><requestURL>x</requestURL>"
+    "<record><header><identifier>a</identifier><datestamp>2001-06-05</datestamp></header>"
+    '<metadata><t xmlns="urn:t">Caf\xe9</t></metadata></record></ListRecords>\n'
+).encode("latin-1")
+
+
+class TestPageFiles:
+    def test_page_files_are_the_bytes_received(self, clock, tmp_path):
+        net = FakeNetwork(clock)
+        net.add(BASE_URL, make_provider(page_size=1))
+        received = []
+
+        def recording(*args):
+            status, headers, body = net.transport(*args)
+            received.append(body)
+            return status, headers, body
+
+        plan = HarvestPlan(BASE_URL, str(tmp_path), verb=OaiVerb.LIST_RECORDS)
+        outcome = run_harvest(plan, CFG, clock, recording)
+        written = [str(tmp_path / "Identify")] + outcome.page_files
+        assert len(received) == 4
+        assert [Path(path).read_bytes() for path in written] == received
+
+    def test_non_utf8_page_fails_the_run_and_stays_raw(self, network, tmp_path, monkeypatch):
+        def latin1_lists(url, method, payload, headers):
+            if payload.startswith("verb=ListRecords"):
+                return 200, {}, LATIN1_PAGE
+            return network.transport(url, method, payload, headers)
+
+        monkeypatch.setattr(harvester, "run_harvest", partial(
+            run_harvest, clock=network.clock, transport=latin1_lists))
+        catalog = tmp_path / "catalog.xml"
+        (tmp_path / "h1").mkdir()
+        argv = [BASE_URL, "-d", str(tmp_path / "h1"), "--records", "--merge", str(catalog),
+                "--email", "t@example.org"]
+        assert harvester.main(argv) == EXIT_FAILED
+        assert (tmp_path / "h1" / "ListRecords.1").read_bytes() == LATIN1_PAGE
+        assert not catalog.exists()
 
 
 class TestHarvestScenario:

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every function, class and public method it defines is used in the package."""
+"""Every name a module of the package imports is used in that module, every
+function, class and public method it defines is used in the package, and no
+call decodes or encodes text lossily."""
 
 import ast
 import os
@@ -89,6 +90,42 @@ def test_checker_flags_an_unused_definition():
         "__init__.py": "from .a import orphan\n__all__ = ['orphan']\n",
     }
     assert unused_definitions(sources) == ["a.py: A.spare", "a.py: orphan"]
+
+
+LOSSY_ERRORS = {"replace", "ignore"}
+
+
+def lossy_codec_calls(source: str) -> list[str]:
+    """Calls that pass errors="replace" or "ignore" (by keyword, or as the
+    second argument of encode or decode): each would turn bytes or text it
+    cannot convert into something else without raising."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        values = [kw.value for kw in node.keywords if kw.arg == "errors"]
+        if isinstance(node.func, ast.Attribute) and node.func.attr in ("decode", "encode"):
+            values += node.args[1:2]
+        if any(isinstance(v, ast.Constant) and v.value in LOSSY_ERRORS for v in values):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_lossy_codec_calls(module):
+    with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as fh:
+        assert lossy_codec_calls(fh.read()) == []
+
+
+def test_checker_flags_a_lossy_codec_call():
+    source = (
+        'a = b"x".decode("utf-8", errors="replace")\n'
+        'b = b"x".decode("utf-8", "ignore")\n'
+        'c = open("f", errors="ignore")\n'
+        'd = b"x".decode("utf-8")\n'
+        'e = "x".encode("utf-8", errors="surrogateescape")\n'
+    )
+    assert lossy_codec_calls(source) == ["line 1", "line 2", "line 3"]
 
 
 def test_checker_flags_an_unused_import():

@@ -41,13 +41,13 @@ class TestHandle:
         resp = dispatch(fixture_provider, "verb=Identify")
         assert resp.status == 200
         assert resp.content_type == "text/xml"
-        assert "<repositoryName>" in resp.body
+        assert b"<repositoryName>" in resp.body
 
     def test_malformed_request_is_400_plain(self, fixture_provider):
         resp = dispatch(fixture_provider, "bad-request")
         assert resp.status == 400
         assert resp.content_type == "text/plain"
-        assert resp.body.strip() == "No verb specified!"
+        assert resp.body.strip() == b"No verb specified!"
 
     @pytest.mark.parametrize("stamp", ["1999-02-12%0A", "%D9%A1999-02-12"])
     def test_non_canonical_from_is_400(self, fixture_provider, stamp):

@@ -65,6 +65,34 @@ def test_valid_post_is_200(server_port):
     assert post(server_port, "13", b"verb=Identify") == b"HTTP/1.0 200 OK"
 
 
+def test_post_body_not_utf8_is_400(server_port):
+    # read with U+FFFD in place of the bad byte, this would be a valid request
+    body = b"verb=GetRecord&identifier=\xff&metadataPrefix=oai_dc"
+    assert post(server_port, str(len(body)), body) == b"HTTP/1.0 400 Bad Request"
+
+
+def test_trickled_request_is_dropped_at_the_deadline(server_port, monkeypatch):
+    monkeypatch.setattr(provider_cli._Handler, "timeout", 0.3)
+    request = b"POST /oai1 HTTP/1.0\r\nContent-Length: 13\r\n\r\nverb=Identify"
+    began = time.monotonic()
+    with socket.create_connection(("127.0.0.1", server_port), timeout=0.1) as sock:
+        # one byte every 0.1 s, each within the per-read timeout, until the
+        # server closes or answers
+        answer = None
+        for byte in request:
+            try:
+                sock.sendall(bytes([byte]))
+                answer = sock.recv(64)
+            except TimeoutError:
+                continue
+            except ConnectionError:  # reset: the server closed with bytes unread
+                answer = b""
+            break
+        held = time.monotonic() - began
+    assert answer == b""
+    assert held < 1.0
+
+
 def test_response_is_one_write(server_port, monkeypatch):
     writes = []
     write = socketserver._SocketWriter.write
@@ -84,7 +112,7 @@ def test_response_is_one_write(server_port, monkeypatch):
 def test_http_transport_refuses_a_response_past_its_limit(server_port, monkeypatch, over):
     url = f"http://127.0.0.1:{server_port}/oai1"
     _, _, body = http_transport(url, "POST", "verb=Identify", {})
-    monkeypatch.setattr(client, "MAX_RESPONSE_BYTES", len(body.encode()) - over)
+    monkeypatch.setattr(client, "MAX_RESPONSE_BYTES", len(body) - over)
     if over:
         with pytest.raises(ConnectionFailed):
             http_transport(url, "POST", "verb=Identify", {})
@@ -172,6 +200,13 @@ def test_busy_handlers_leave_connections_in_the_backlog(monkeypatch):
     assert (seen["accepted"], seen["peak"]) == (3, 1)
 
 
+def test_ask_prints_the_response_as_sent(capsys):
+    assert provider_cli.main(["ask", "verb=Identify"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Content-Type: text/xml\n\n<?xml")
+    assert out.endswith("</Identify>\n\n")
+
+
 @pytest.mark.parametrize("command", [["ask", "verb=Identify"], ["serve", "--port", "0"]])
 def test_bad_store_file_is_one_error_line(tmp_path, capsys, command):
     catalog = tmp_path / "catalog.xml"
@@ -200,7 +235,7 @@ def test_serve_port_0_reports_bound_port():
             f"http://127.0.0.1:{port}/oai1", OaiRequest.of(OaiVerb.IDENTIFY), CFG,
             transport=http_transport,
         )
-        assert "<repositoryName>" in body
+        assert b"<repositoryName>" in body
     finally:
         proc.terminate()
         proc.wait(timeout=10)

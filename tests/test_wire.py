@@ -128,7 +128,7 @@ class TestRenderDc:
 
 class TestParseListResponse:
     def test_golden_list_identifiers_transcript(self):
-        parsed = parse_list_response(LIST_IDENTIFIERS_ALL, OaiVerb.LIST_IDENTIFIERS)
+        parsed = parse_list_response(LIST_IDENTIFIERS_ALL.encode("utf-8"), OaiVerb.LIST_IDENTIFIERS)
         assert [h.identifier.value for h in parsed.items] == ["record1", "record2", "record3"]
         assert [h.deleted for h in parsed.items] == [False, False, True]
         assert parsed.token is None
@@ -141,26 +141,26 @@ class TestParseListResponse:
                 [RecordHeader(ItemIdentifier("a"))],
                 token=ResumptionToken("1997-02-10___"),
             )
-        )
+        ).encode("utf-8")
         parsed = parse_list_response(doc, OaiVerb.LIST_IDENTIFIERS)
         assert parsed.token == ResumptionToken("1997-02-10___")
 
     def test_verb_mismatch(self):
         with pytest.raises(VerbMismatch):
-            parse_list_response(LIST_IDENTIFIERS_ALL, OaiVerb.LIST_RECORDS)
+            parse_list_response(LIST_IDENTIFIERS_ALL.encode("utf-8"), OaiVerb.LIST_RECORDS)
 
     def test_malformed_xml(self):
         with pytest.raises(ParseError):
-            parse_list_response("<broken", OaiVerb.LIST_IDENTIFIERS)
+            parse_list_response(b"<broken", OaiVerb.LIST_IDENTIFIERS)
 
     def test_namespace_prefix_variation_tolerated(self):
         doc = (
-            '<?xml version="1.0"?>'
-            '<o:ListIdentifiers xmlns:o="http://www.openarchives.org/OAI/OAI_ListIdentifiers">'
-            "<o:responseDate>2001-05-05T12:59:30-06:00</o:responseDate>"
-            "<o:requestURL>http://x?verb=ListIdentifiers</o:requestURL>"
-            '<o:identifier o:status="deleted">r9</o:identifier>'
-            "</o:ListIdentifiers>"
+            b'<?xml version="1.0"?>'
+            b'<o:ListIdentifiers xmlns:o="http://www.openarchives.org/OAI/OAI_ListIdentifiers">'
+            b"<o:responseDate>2001-05-05T12:59:30-06:00</o:responseDate>"
+            b"<o:requestURL>http://x?verb=ListIdentifiers</o:requestURL>"
+            b'<o:identifier o:status="deleted">r9</o:identifier>'
+            b"</o:ListIdentifiers>"
         )
         parsed = parse_list_response(doc, OaiVerb.LIST_IDENTIFIERS)
         assert parsed.items[0].identifier.value == "r9"
@@ -174,7 +174,7 @@ class TestParseListResponse:
         )
         repo = RepositoryDescription("Demo", "http://localhost/oai1", ("a@b.org",),
                                      descriptions=(block,))
-        doc = render_envelope(make_envelope(OaiVerb.IDENTIFY, [repo]))
+        doc = render_envelope(make_envelope(OaiVerb.IDENTIFY, [repo])).encode("utf-8")
         (parsed,) = parse_list_response(doc, OaiVerb.IDENTIFY).items
         assert parsed.descriptions == (block,)
 
@@ -191,17 +191,17 @@ class TestParseListResponse:
             (f"<Identify>{date}<repositoryName>r</repositoryName></Identify>", OaiVerb.IDENTIFY),
         ]:
             with pytest.raises(ParseError):
-                parse_list_response(doc, verb)
+                parse_list_response(doc.encode("utf-8"), verb)
 
     def test_missing_response_date(self):
-        doc = "<ListIdentifiers></ListIdentifiers>"
+        doc = b"<ListIdentifiers></ListIdentifiers>"
         with pytest.raises(ParseError):
             parse_list_response(doc, OaiVerb.LIST_IDENTIFIERS)
 
     @pytest.mark.parametrize("name", [" ", " x", "x ", "a  b"])
     def test_repository_name_whitespace_round_trips(self, name):
         repo = RepositoryDescription(name, "http://localhost/oai1", ("a@b.org",))
-        doc = render_envelope(make_envelope(OaiVerb.IDENTIFY, [repo]))
+        doc = render_envelope(make_envelope(OaiVerb.IDENTIFY, [repo])).encode("utf-8")
         (parsed,) = parse_list_response(doc, OaiVerb.IDENTIFY).items
         assert parsed.repository_name == name
 
@@ -218,7 +218,7 @@ def records_page(metadata, root_decls="", wrapper_decls=""):
         "<responseDate>2001-01-01T00:00:00+00:00</responseDate><requestURL>x</requestURL>"
         "<record><header><identifier>a</identifier><datestamp>2001-01-01</datestamp></header>"
         f"<metadata{wrapper_decls}>{metadata}</metadata></record>\n</ListRecords>\n"
-    )
+    ).encode("utf-8")
 
 
 def catalog_file(path, payload, root_decls="", wrapper_decls=""):
@@ -295,10 +295,10 @@ class TestPayloadCuts:
 
     def test_entity_declarations_refused(self, tmp_path):
         doctype = '<!DOCTYPE x [<!ENTITY e "text">]>\n'
-        page = records_page('<a xmlns="urn:a">&e;</a>').replace("\n", "\n" + doctype, 1)
+        page = records_page('<a xmlns="urn:a">&e;</a>').replace(b"\n", b"\n" + doctype.encode(), 1)
         with pytest.raises(ParseError):
             parse_list_response(page, OaiVerb.LIST_RECORDS)
-        external = page.replace(doctype, '<!DOCTYPE x SYSTEM "x.dtd">\n')
+        external = page.replace(doctype.encode(), b'<!DOCTYPE x SYSTEM "x.dtd">\n')
         with pytest.raises(ParseError):
             parse_list_response(external, OaiVerb.LIST_RECORDS)
         path = tmp_path / "catalog.xml"
@@ -310,7 +310,7 @@ class TestPayloadCuts:
     def test_namespace_declared_by_a_dtd_default_refused(self, tmp_path):
         # the cut <a><p:b/></a> could not carry the declaration of p
         doctype = '<!DOCTYPE x [<!ATTLIST a xmlns:p CDATA "urn:p">]>\n'
-        page = records_page('<a xmlns="urn:a"><p:b/></a>').replace("\n", "\n" + doctype, 1)
+        page = records_page('<a xmlns="urn:a"><p:b/></a>').replace(b"\n", b"\n" + doctype.encode(), 1)
         with pytest.raises(ParseError):
             parse_list_response(page, OaiVerb.LIST_RECORDS)
         path = tmp_path / "catalog.xml"
@@ -322,7 +322,7 @@ class TestPayloadCuts:
     def test_dtd_attribute_default_refused(self, tmp_path):
         # the cut <a> would lose the lang="en" the DTD gives it
         doctype = '<!DOCTYPE x [<!ATTLIST a lang CDATA "en">]>\n'
-        page = records_page('<a xmlns="urn:a">t</a>').replace("\n", "\n" + doctype, 1)
+        page = records_page('<a xmlns="urn:a">t</a>').replace(b"\n", b"\n" + doctype.encode(), 1)
         with pytest.raises(ParseError):
             parse_list_response(page, OaiVerb.LIST_RECORDS)
         path = tmp_path / "catalog.xml"
@@ -337,7 +337,7 @@ class TestPayloadCuts:
                 for prefix, payload in item.payloads]
         assert len(held) == 3
         records = [MetadataRecord(item.header(), payload) for item, _, payload in held]
-        doc = render_envelope(make_envelope(OaiVerb.LIST_RECORDS, records))
+        doc = render_envelope(make_envelope(OaiVerb.LIST_RECORDS, records)).encode("utf-8")
         parsed = parse_list_response(doc, OaiVerb.LIST_RECORDS).items
         assert [r.metadata for r in parsed] == [payload for _, _, payload in held]
         path = tmp_path / "catalog.xml"
@@ -351,7 +351,7 @@ class TestPayloadCuts:
         path = tmp_path / "catalog.xml"
         path.write_text(render_catalog(fixture_store()), encoding="utf-8")
         records = [MetadataRecord(i.header(), i.payload("oai_dc")) for i in fixture_store().items()]
-        doc = render_envelope(make_envelope(OaiVerb.LIST_RECORDS, records))
+        doc = render_envelope(make_envelope(OaiVerb.LIST_RECORDS, records)).encode("utf-8")
         gc.collect()
         gc.disable()
         try:
@@ -506,7 +506,7 @@ class TestRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(envelope_strategy())
     def test_parse_of_render_preserves_structure(self, env):
-        parsed = parse_list_response(render_envelope(env), env.verb)
+        parsed = parse_list_response(render_envelope(env).encode("utf-8"), env.verb)
         assert parsed.token == env.resumption_token
         assert parsed.envelope.response_date == env.response_date
         assert parsed.envelope.request_url == env.request_url
@@ -545,7 +545,7 @@ class TestIdentifyComparison:
             " <protocolVersion>1.0</protocolVersion>\n"
             f" <adminEmail>{email}</adminEmail>\n"
             "</Identify>\n"
-        )
+        ).encode("utf-8")
 
     def test_same_repository_two_times(self):
         a = self.make_identify("2001-06-05T09:00:00-06:00")
@@ -563,7 +563,7 @@ class TestIdentifyComparison:
 
     def test_missing_response_date_is_error(self):
         with pytest.raises(ParseError):
-            identify_equal_ignoring_date("<Identify/>", self.make_identify())
+            identify_equal_ignoring_date(b"<Identify/>", self.make_identify())
 
     def test_equivalence_relation(self):
         a = self.make_identify("2001-01-01T00:00:00+00:00")

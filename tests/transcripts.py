@@ -128,7 +128,7 @@ def transcripts_equal(doc_a: str, doc_b: str) -> bool:
     return _normalize(ET.fromstring(doc_a)) == _normalize(ET.fromstring(doc_b))
 
 
-def assert_transcript_equal(actual: str, golden: str) -> None:
+def assert_transcript_equal(actual: bytes, golden: str) -> None:
     assert _normalize(ET.fromstring(actual)) == _normalize(ET.fromstring(golden)), (
         f"document differs from golden transcript:\n--- actual ---\n{actual}\n"
         f"--- golden ---\n{golden}"
