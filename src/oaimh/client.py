@@ -3,10 +3,12 @@
 `oai_get` issues a single protocol request and transparently handles 503
 retry-after waits (via an injectable clock, so tests never sleep for real)
 and 302 redirects (re-issuing a POST as a POST with the same body).
+`http_transport` keeps its connection to a provider open for the next request.
 """
 
 from __future__ import annotations
 
+import atexit
 import http.client
 import logging
 import time
@@ -82,8 +84,27 @@ class SystemClock:
 Transport = Callable[[str, str, str, dict], tuple[int, dict, bytes]]
 
 
+#: Connections `http_transport` keeps open between requests, at most one per
+#: (scheme, netloc); a connection is taken out while it carries a request.
+_IDLE: dict[tuple[str, str], http.client.HTTPConnection] = {}
+
+
+def close_idle_connections() -> None:
+    """Close every connection `http_transport` keeps open."""
+    while _IDLE:
+        _IDLE.popitem()[1].close()
+
+
+atexit.register(close_idle_connections)
+
+
 def http_transport(url: str, method: str, payload: str, headers: dict) -> tuple[int, dict, bytes]:
-    """Plain http.client transport with redirects left to the caller."""
+    """Plain http.client transport with redirects left to the caller. It
+    sends over the open connection to the same scheme and host if there is
+    one, and keeps its connection open afterwards unless the provider said
+    it would close it. A request on a reused connection that the provider
+    closed meanwhile is sent once more, on a new connection: OAI requests
+    only read."""
     parts = urllib.parse.urlsplit(url)
     conn_cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
     path = parts.path or "/"
@@ -94,18 +115,35 @@ def http_transport(url: str, method: str, payload: str, headers: dict) -> tuple[
     else:
         body = payload
         headers = dict(headers, **{"Content-Type": "application/x-www-form-urlencoded"})
-    conn = conn_cls(parts.netloc, timeout=HTTP_TIMEOUT_SECONDS)
+    key = (parts.scheme, parts.netloc)
+    conn = _IDLE.pop(key, None)
+    reused = conn is not None
+    if not reused:
+        conn = conn_cls(parts.netloc, timeout=HTTP_TIMEOUT_SECONDS)
+    keep = False
     try:
-        conn.request(method, path, body=body, headers=headers)
-        resp = conn.getresponse()
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
+        # http.client.RemoteDisconnected is a ConnectionResetError
+        except (BrokenPipeError, ConnectionResetError):
+            if not reused:
+                raise
+            conn.close()
+            conn = conn_cls(parts.netloc, timeout=HTTP_TIMEOUT_SECONDS)
+            conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
         data = resp.read(MAX_RESPONSE_BYTES + 1)
         if len(data) > MAX_RESPONSE_BYTES:
             raise ConnectionFailed(f"response body longer than {MAX_RESPONSE_BYTES} bytes")
         resp_headers = {k.lower(): v for k, v in resp.getheaders()}
+        keep = resp.isclosed() and not resp.will_close  # the body was read to its end
     except OSError as exc:
         raise ConnectionFailed(str(exc)) from None
     finally:
-        conn.close()
+        # a connection already kept for this host stays; this one closes
+        if not keep or _IDLE.setdefault(key, conn) is not conn:
+            conn.close()
     return resp.status, resp_headers, data
 
 

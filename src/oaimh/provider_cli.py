@@ -16,6 +16,7 @@ Config files are plain key=value text, one pair per line, '#' comments:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import queue
 import socket
@@ -34,8 +35,10 @@ from .wire import ParseError
 
 #: Connections handled at once; further ones wait in the listen backlog.
 MAX_HANDLERS = 16
-#: Seconds a connection may hold a handler from when it takes it: each read
-#: waits only for the time left, and the response's one write for what was left.
+#: Seconds a connection may spend waiting for its next request and reading
+#: it, counted from the end of the response before (or from when a handler
+#: takes it): each read waits only for the time left, and the response's one
+#: write for what was left.
 HANDLER_TIMEOUT_SECONDS = 10
 
 
@@ -88,6 +91,9 @@ class _DeadlineReader(socket.SocketIO):
 
     def __init__(self, sock: socket.socket, seconds: float):
         super().__init__(sock, "rb")
+        self.restart(seconds)
+
+    def restart(self, seconds: float) -> None:
         self._deadline = time.monotonic() + seconds
 
     def readinto(self, buffer) -> Optional[int]:
@@ -102,10 +108,21 @@ class _Handler(BaseHTTPRequestHandler):
     provider: Provider = None  # set by serve()
     timeout = HANDLER_TIMEOUT_SECONDS
 
+    protocol_version = "HTTP/1.1"  # connections are kept alive between requests
+
     def setup(self) -> None:
         super().setup()
         self.rfile.close()  # nothing is read yet: replace it
-        self.rfile = io.BufferedReader(_DeadlineReader(self.connection, self.timeout))
+        self._reader = _DeadlineReader(self.connection, self.timeout)
+        self.rfile = io.BufferedReader(self._reader)
+
+    def handle_one_request(self) -> None:
+        # the deadline bounds the wait for this request and the reading of it
+        self._reader.restart(self.timeout)
+        if self.server.wait_for_request(self.connection, self.rfile):
+            super().handle_one_request()
+        else:
+            self.close_connection = True
 
     def _send(self, resp: HttpResponse) -> None:
         self.send_response(resp.status)
@@ -113,6 +130,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(resp.body)))
         for name, value in resp.headers:
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if self.request_version == "HTTP/0.9":  # the body alone
             self.wfile.write(resp.body)
         else:
@@ -122,19 +141,36 @@ class _Handler(BaseHTTPRequestHandler):
             self._headers_buffer.extend((b"\r\n", resp.body))
             self.flush_headers()
 
+    def _content_length(self) -> int:
+        """The declared length of the request body, or -1 where it is not
+        one this handler reads: not a number, or sent in chunks."""
+        if "Transfer-Encoding" in self.headers:
+            return -1
+        try:
+            return int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            return -1
+
     def do_GET(self):
-        raw = urlsplit(self.path).query
+        if self._content_length() != 0:
+            # the body is left unread, and must not be read as a request
+            self.close_connection = True
+        # http.server read the request line as Latin-1; a query is UTF-8, as
+        # a POST body is
+        try:
+            raw = urlsplit(self.path).query.encode("latin-1").decode("utf-8")
+        except UnicodeDecodeError:
+            self._send(HttpResponse(400, b"Query is not UTF-8\n"))
+            return
         self._send(self.provider.handle(self.client_address[0], "GET", raw, time.time()))
 
     def do_POST(self):
         # reject a length we would not read before reading anything, so a
         # hostile Content-Length can neither hang the handler thread nor drop
         # the connection without an answer
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
+        length = self._content_length()
         if not 0 <= length <= MAX_REQUEST_BYTES:
+            self.close_connection = True  # the body is left unread
             self._send(HttpResponse(400, b"Bad Content-Length\n"))
             return
         try:
@@ -153,14 +189,18 @@ class _PooledHTTPServer(HTTPServer):
     threads, each reused from one connection to the next. A connection that
     finds no worker idle starts one, up to MAX_HANDLERS; while that many are
     busy the accept loop waits, and further connections wait in the listen
-    backlog."""
+    backlog. A worker keeps its connection between requests, until the
+    client closes it or HANDLER_TIMEOUT_SECONDS pass without a request."""
 
     def __init__(self, address, handler):
         super().__init__(address, handler)
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._workers: list[threading.Thread] = []
         self._idle = 0  # workers with no connection to handle
-        self._changed = threading.Condition()  # guards _idle and _workers
+        self._waiting: set[socket.socket] = set()  # connections between requests
+        self._closing = False
+        # guards _idle, _workers, _waiting and _closing
+        self._changed = threading.Condition()
 
     def process_request(self, request, client_address) -> None:
         with self._changed:
@@ -187,10 +227,37 @@ class _PooledHTTPServer(HTTPServer):
                     self._idle += 1
                     self._changed.notify()
 
+    def wait_for_request(self, sock: socket.socket, rfile: io.BufferedReader) -> bool:
+        """Wait until the first byte of the next request on a connection is
+        read into `rfile`: False if the connection ended or timed out first,
+        or was ended by server_close(). Once server_close() has begun, only
+        a request already sent is waited for."""
+        with self._changed:
+            if self._closing:
+                sock.settimeout(0)
+                try:
+                    return bool(sock.recv(1, socket.MSG_PEEK))
+                except OSError:
+                    return False
+            self._waiting.add(sock)
+        try:
+            return bool(rfile.peek(1))
+        except OSError:  # a timeout, or the client reset the connection
+            return False
+        finally:
+            with self._changed:
+                self._waiting.discard(sock)
+
     def server_close(self) -> None:
-        """Close the listening socket, then stop and join every worker once
-        it has finished the connections handed to it."""
+        """Close the listening socket and every connection waiting for its
+        next request, then stop and join every worker once it has finished
+        the requests handed to it."""
         super().server_close()
+        with self._changed:
+            self._closing = True
+            for sock in self._waiting:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
         for _ in self._workers:
             self._jobs.put(None)
         for worker in self._workers:

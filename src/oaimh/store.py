@@ -10,12 +10,10 @@ torn state.
 from __future__ import annotations
 
 import os
-import re
 import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional
-from xml.sax.saxutils import escape, quoteattr
 
 from .model import (
     DC_SCHEMA_URL,
@@ -26,7 +24,7 @@ from .model import (
     check_payload,
     datestamp_parse,
 )
-from .wire import ParseError, read_xml
+from .wire import ParseError, escape, quoteattr, read_xml
 
 
 class NotFound(KeyError):
@@ -241,15 +239,6 @@ class FileStore(MemoryStore):
         os.replace(tmp, self.path)
 
 
-# the characters quoteattr would replace, or that would change its quotes
-_ATTR_SPECIAL = re.compile('[&<>"\n\r\t]')
-
-
-def _quoteattr(value: str) -> str:
-    """quoteattr(value), without its work where it would change nothing."""
-    return quoteattr(value) if _ATTR_SPECIAL.search(value) else f'"{value}"'
-
-
 def render_catalog(store: MemoryStore) -> str:
     """Deterministic catalog serialization: formats in catalog order, items
     sorted by identifier, payload fragments embedded verbatim."""
@@ -261,7 +250,7 @@ def render_catalog(store: MemoryStore) -> str:
         )
     for item in store.items():
         # a datestamp is digits and hyphens, which quoteattr leaves as they are
-        attrs = f'identifier={_quoteattr(item.identifier.value)} datestamp="{item.datestamp}"'
+        attrs = f'identifier={quoteattr(item.identifier.value)} datestamp="{item.datestamp}"'
         if item.deleted:
             attrs += ' deleted="true"'
         if not item.payloads:
@@ -271,7 +260,7 @@ def render_catalog(store: MemoryStore) -> str:
         for prefix, fragment in item.payloads:
             # fragments are embedded verbatim: re-indenting would add bytes to
             # their inner text nodes and break load/save round-trip stability
-            lines.append(f"  <payload prefix={_quoteattr(prefix)}>")
+            lines.append(f"  <payload prefix={quoteattr(prefix)}>")
             lines.append(fragment.strip())
             lines.append("  </payload>")
         lines.append(" </item>")

@@ -13,7 +13,6 @@ import pyexpat  # the C module that xml.parsers.expat re-exports
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
-from xml.sax.saxutils import escape, quoteattr
 
 from .model import (
     ItemIdentifier,
@@ -31,6 +30,30 @@ from .model import (
 OAI_NS_BASE = "http://www.openarchives.org/OAI/OAI_"
 OAI_SCHEMA_BASE = "http://www.openarchives.org/OAI/1.0/OAI_"
 XSI_NS = "http://www.w3.org/2000/10/XMLSchema-instance"
+
+
+def escape(text: str) -> str:
+    """Character data with &, < and > written as entity references, as
+    xml.sax.saxutils.escape writes it (which would import urllib.request)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+# the characters quoteattr replaces, or that change its quotes
+_ATTR_SPECIAL = re.compile('[&<>"\n\r\t]')
+
+
+def quoteattr(text: str) -> str:
+    """An attribute value escaped and quoted as xml.sax.saxutils.quoteattr
+    quotes it: in double quotes, unless it holds a double quote and no
+    single one."""
+    if not _ATTR_SPECIAL.search(text):
+        return f'"{text}"'
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"%s"' % text.replace('"', "&quot;")
 
 
 class ParseError(Exception):

@@ -8,6 +8,7 @@ import pyexpat
 
 import pytest
 
+from oaimh import client
 from oaimh.model import Datestamp, RepositoryDescription
 from oaimh.provider import Provider, ProviderConfig
 from oaimh.store import fixture_store
@@ -92,6 +93,14 @@ def make_provider(store=None, **config_overrides) -> Provider:
     defaults = dict(repository=repository, clock_offset_minutes=-360)
     defaults.update(config_overrides)
     return Provider(store if store is not None else fixture_store(), ProviderConfig(**defaults))
+
+
+@pytest.fixture(autouse=True)
+def close_kept_connections():
+    """Close the connections `http_transport` kept open during a test, so the
+    next test starts with none."""
+    yield
+    client.close_idle_connections()
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 """Every name a module of the package imports is used in that module, every
 function, class and public method it defines is used in the package, and no
-call decodes or encodes text lossily."""
+call decodes or encodes text lossily; `provider serve` starts without the
+modules it does not need."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,3 +134,17 @@ def test_checker_flags_a_lossy_codec_call():
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom typing import Optional, Union\nx: Optional[int] = os.sep\n"
     assert unused_imports(source) == ["Union (line 2)"]
+
+
+def test_provider_cli_imports_neither_urllib_request_nor_xml_sax():
+    # each costs `provider serve` start-up time and memory, and neither is used
+    src = os.path.dirname(PACKAGE_DIR)
+    code = (
+        "import sys; import oaimh.provider_cli; "
+        "print(sorted(m for m in sys.modules if m == 'urllib.request' or "
+        "m == 'xml.sax' or m.startswith('xml.sax.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"

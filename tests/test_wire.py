@@ -3,9 +3,10 @@ import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oaimh import wire
 from oaimh.model import (
     Datestamp,
     ItemIdentifier,
@@ -104,6 +105,27 @@ class TestRenderRecord:
         fragment = render_record(MetadataRecord(header), " ")
         assert "<metadata>" not in fragment
         assert 'status="deleted"' in fragment
+
+
+class TestEscaping:
+    # the characters each function treats specially, so that short draws
+    # hold them often, mixed with any other text
+    special = st.text(alphabet=st.sampled_from("&<>\"'\n\r\t"), max_size=6)
+    mixed = st.lists(st.one_of(special, st.text(max_size=6)), max_size=6).map("".join)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mixed)
+    def test_escape_is_saxutils_escape(self, text):
+        assert wire.escape(text) == escape(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed)
+    @example("plain")  # each choice of quotes
+    @example('say "hi"')
+    @example("it's")
+    @example("'\"'")
+    def test_quoteattr_is_saxutils_quoteattr(self, text):
+        assert wire.quoteattr(text) == quoteattr(text)
 
 
 class TestRenderDc:
